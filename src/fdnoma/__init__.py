@@ -21,6 +21,7 @@ from .outage import (
     LinkBudget,
     Node,
     NodeGeometry,
+    OutageCurve,
     OutageResult,
     Scheme,
     SystemConfig,
@@ -45,14 +46,6 @@ from .scenario import (
     load_config,
     run_sweep,
 )
-from .specfun import (
-    Composition,
-    SeriesConvergenceError,
-    compositions,
-    gauss_2f1,
-    log_gamma,
-    multinomial_coeff,
-    pochhammer,
-)
+from .specfun import SeriesConvergenceError, gauss_2f1, log_gamma, pochhammer
 
 __version__ = "0.1.0"

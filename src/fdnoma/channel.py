@@ -14,7 +14,9 @@ parallel callers can use independent seeded streams.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -24,6 +26,7 @@ __all__ = [
     "RicianShadowedParams",
     "ExponentialParams",
     "TruncatedCdf",
+    "TruncatedSeries",
     "MAX_MOMENT_ORDER",
     "rician_shadowed_moment",
     "exponential_moment",
@@ -81,15 +84,41 @@ class TruncatedCdf:
     converged: bool
 
 
-def _log_rician_shadowed_moment(p: RicianShadowedParams, order: int) -> float:
-    pbar, k, m = p.mean_power, p.k_factor, p.m
+def _log_moment_shape(p: RicianShadowedParams | ExponentialParams, order: int) -> float:
+    """log(E{X^order} / (order! mean_power^order)): the part of a log moment
+    that does not depend on the mean power.
+
+    For Rician shadowed X (Abdi et al., IEEE TWC 2003) it is
+    -l log(1+K) + (m-1-l) log(m/(K+m)) + log 2F1(1-m, 1+l; 1; -K/m);
+    for exponential X it is 0.
+    """
+    if isinstance(p, ExponentialParams):
+        return 0.0
+    k, m = p.k_factor, p.m
     hyp = gauss_2f1(1.0 - m, 1.0 + order, 1.0, -k / m)
     return (
-        order * (math.log(pbar) - math.log1p(k))
-        + math.lgamma(1 + order)
+        -order * math.log1p(k)
         + (m - 1 - order) * (math.log(m) - math.log(k + m))
         + math.log(hyp)
     )
+
+
+def _log_moment(p: RicianShadowedParams | ExponentialParams, order: int) -> float:
+    """log E{X^order}, formed without leaving log space."""
+    return (
+        order * math.log(p.mean_power)
+        + math.lgamma(order + 1)
+        + _log_moment_shape(p, order)
+    )
+
+
+def _exp_moment(log_m: float, order: int) -> float:
+    if log_m > _LOG_HUGE:
+        raise OverflowError(
+            f"moment of order {order} overflows double precision "
+            f"(log value {log_m:.1f})"
+        )
+    return math.exp(log_m)
 
 
 def rician_shadowed_moment(p: RicianShadowedParams, order: int) -> float:
@@ -106,73 +135,176 @@ def rician_shadowed_moment(p: RicianShadowedParams, order: int) -> float:
         raise ValueError(
             f"moment order {order} exceeds supported maximum {MAX_MOMENT_ORDER}"
         )
-    log_m = _log_rician_shadowed_moment(p, order)
-    if log_m > _LOG_HUGE:
-        raise OverflowError(
-            f"moment of order {order} overflows double precision "
-            f"(log value {log_m:.1f})"
-        )
-    return math.exp(log_m)
+    return _exp_moment(_log_moment(p, order), order)
 
 
 def exponential_moment(p: ExponentialParams, order: int) -> float:
     """E{Y^order} = mean^order * order! for exponential Y."""
     if order < 0:
         raise ValueError(f"moment order must be non-negative, got {order}")
-    log_m = order * math.log(p.mean_power) + math.lgamma(order + 1)
-    if log_m > _LOG_HUGE:
-        raise OverflowError(
-            f"moment of order {order} overflows double precision "
-            f"(log value {log_m:.1f})"
-        )
-    return math.exp(log_m)
+    return _exp_moment(_log_moment(p, order), order)
 
 
-def _alpha_signed_log(
-    n: int, p: RicianShadowedParams, gamma: float
-) -> tuple[float, float]:
-    """CDF expansion coefficient of order n as (sign, log magnitude).
+def _alpha_shape_sums(k: float, m: float, k_tr: int) -> list[tuple[float, float]]:
+    """(sign, log |S(n)|) for n = 0..k_tr, where
 
-    alpha(n) = sum_{i=0}^{n} (-1)^(n-i) (m/(K+m))^m (m)_i / Gamma(i+1)^2
-               * (K/(K+m))^i ((1+K)/P)^(n+1) gamma^(n+1) / ((n-i)! (n+1))
+        S(n) = sum_{i=0}^{n} (-1)^(n-i) (m)_i (K/(K+m))^i / (i!^2 (n-i)!)
 
-    The alternating inner sum is accumulated with the largest log magnitude
-    factored out; signs are carried separately.
+    is the power-free alternating sum of the CDF expansion coefficient.
+    Each sum is accumulated with its largest log magnitude factored out;
+    signs are carried separately.
     """
-    if gamma == 0.0:
-        return 0.0, -math.inf
-    pbar, k, m = p.mean_power, p.k_factor, p.m
-    base = (
-        (n + 1) * (math.log1p(k) - math.log(pbar) + math.log(gamma))
-        + m * (math.log(m) - math.log(k + m))
-        - math.log(n + 1)
-    )
     log_k_ratio = math.log(k) - math.log(k + m) if k > 0 else -math.inf
-    signed_logs: list[tuple[float, float]] = []
-    for i in range(n + 1):
-        if k == 0.0 and i > 0:
-            break  # (K/(K+m))^i vanishes for i >= 1
-        lg = (
-            base
-            + (math.lgamma(m + i) - math.lgamma(m))
-            - 2.0 * math.lgamma(i + 1)
-            - math.lgamma(n - i + 1)
+    sums = []
+    for n in range(k_tr + 1):
+        signed_logs = []
+        for i in range(n + 1):
+            if k == 0.0 and i > 0:
+                break  # (K/(K+m))^i vanishes for i >= 1
+            lg = (
+                (math.lgamma(m + i) - math.lgamma(m))
+                - 2.0 * math.lgamma(i + 1)
+                - math.lgamma(n - i + 1)
+            )
+            if i > 0:
+                lg += i * log_k_ratio
+            signed_logs.append((1.0 if (n - i) % 2 == 0 else -1.0, lg))
+        peak = max(lg for _, lg in signed_logs)
+        acc = math.fsum(sign * math.exp(lg - peak) for sign, lg in signed_logs)
+        if acc == 0.0:
+            sums.append((0.0, -math.inf))
+        else:
+            sums.append((math.copysign(1.0, acc), peak + math.log(abs(acc))))
+    return sums
+
+
+def _log_sum_exp(logs: list[float]) -> float:
+    peak = max(logs)
+    return peak + math.log(math.fsum(math.exp(x - peak) for x in logs))
+
+
+def _signed_exp(sign: float, log_mag: float) -> float:
+    """sign * exp(log_mag), or +-inf past the double range."""
+    if sign == 0.0:
+        return 0.0
+    if log_mag > _LOG_HUGE:
+        return math.copysign(math.inf, sign)
+    return sign * math.exp(log_mag)
+
+
+class TruncatedSeries:
+    """Truncated series for P(X0 <= gamma (1 + sum_j Y_j)), tabulated once
+    for any mean powers of the desired link X0 and the interferers Y_j.
+
+    Order n of the series is alpha(n) E{(1 + sum_j Y_j)^(n+1)}, n = 0..k_tr,
+    where alpha(n) is the CDF expansion coefficient of X0.  Construction
+    computes every part that does not depend on the mean powers:
+
+    * alpha(n) = exp(offset(n)) S(n), with the alternating sum S(n) of
+      `_alpha_shape_sums` depending only on (n, K, m), and the offset
+      (n+1)(log(1+K) - log P0 + log gamma) + m log(m/(K+m)) - log(n+1);
+    * log(E{Y_j^l}/l!) = l log P_j + shape_j(l) for l = 0..k_tr+1.
+
+    `at` then costs O(J k_tr^2) with J interferers and O(k_tr) with none:
+    E{(1 + sum_j Y_j)^k}/k! is entry k of the convolution of the sequences
+    1/l! (the unit noise term) and E{Y_j^l}/l!, formed in log space with
+    log-sum-exp.  With no interferers the expectation is 1 and the series
+    is the plain truncated CDF P(X0 <= gamma).
+
+    Only the K factor and shadowing m of `desired` and the fading law of
+    each interferer are used here; `at` takes the mean powers.
+    """
+
+    def __init__(
+        self,
+        desired: RicianShadowedParams,
+        interferers: Sequence[RicianShadowedParams | ExponentialParams],
+        gamma: float,
+        k_tr: int,
+    ):
+        if not gamma >= 0:
+            raise ValueError(f"threshold must be non-negative, got {gamma}")
+        if k_tr < 0:
+            raise ValueError(f"truncation order must be non-negative, got {k_tr}")
+        if interferers and k_tr + 1 > MAX_MOMENT_ORDER:
+            raise ValueError(
+                f"moment order {k_tr + 1} exceeds supported maximum {MAX_MOMENT_ORDER}"
+            )
+        self.gamma = gamma
+        self._num_interferers = len(interferers)
+        if gamma == 0.0 or math.isinf(gamma):
+            return
+        k, m = desired.k_factor, desired.m
+        self._log_fact = [math.lgamma(j + 1) for j in range(k_tr + 2)]
+        self._log_scale = math.log1p(k) + math.log(gamma)
+        const = m * (math.log(m) - math.log(k + m))
+        self._alpha = [
+            (sign, const - math.log(n + 1) + log_s)
+            for n, (sign, log_s) in enumerate(_alpha_shape_sums(k, m, k_tr))
+        ]
+        self._shapes = [
+            [0.0] + [_log_moment_shape(q, order) for order in range(1, k_tr + 2)]
+            for q in interferers
+        ]
+
+    def _log_power_moments(self, interferer_means: Sequence[float]) -> list[float]:
+        """log E{(1 + sum_j Y_j)^k} for k = 1..k_tr+1."""
+        log_fact = self._log_fact
+        if not interferer_means:
+            return [0.0] * (len(log_fact) - 1)
+        acc = [-lf for lf in log_fact]
+        for shape, mean in zip(self._shapes, interferer_means):
+            log_mean = math.log(mean)
+            seq = [order * log_mean + s for order, s in enumerate(shape)]
+            acc = [
+                _log_sum_exp(list(map(operator.add, acc[: k + 1], seq[k::-1])))
+                for k in range(len(acc))
+            ]
+        return [a + lf for a, lf in zip(acc[1:], log_fact[1:])]
+
+    def _log_terms(
+        self, desired_mean: float, interferer_means: Sequence[float]
+    ) -> list[tuple[float, float]]:
+        """(sign, log |term|) of the series orders 0..k_tr."""
+        scale = self._log_scale - math.log(desired_mean)
+        return [
+            (sign, (n + 1) * scale + base + log_e)
+            for n, ((sign, base), log_e) in enumerate(
+                zip(self._alpha, self._log_power_moments(interferer_means))
+            )
+        ]
+
+    def at(self, desired_mean: float, interferer_means: Sequence[float]) -> TruncatedCdf:
+        """Evaluate the series at the given mean powers.
+
+        The truncated sum is clamped to [0, 1]; the alternating series can
+        slightly overshoot before it has converged.  `converged` goes false
+        when per-order magnitudes keep growing (threshold far outside the
+        expansion's useful range) or a term overflows.  A zero threshold
+        gives 0 and an infinite one certain outage.
+        """
+        if len(interferer_means) != self._num_interferers:
+            raise ValueError(
+                f"expected {self._num_interferers} interferer mean powers, "
+                f"got {len(interferer_means)}"
+            )
+        if self.gamma == 0.0:
+            return TruncatedCdf(0.0, True)
+        if math.isinf(self.gamma):
+            return TruncatedCdf(1.0, True)
+        terms = [_signed_exp(*t) for t in self._log_terms(desired_mean, interferer_means)]
+        total = math.fsum(t for t in terms if math.isfinite(t))
+        converged = all(math.isfinite(t) for t in terms) and not _diverging(
+            [abs(t) for t in terms]
         )
-        if i > 0:
-            lg += i * log_k_ratio
-        sign = 1.0 if (n - i) % 2 == 0 else -1.0
-        signed_logs.append((sign, lg))
-    peak = max(lg for _, lg in signed_logs)
-    if peak == -math.inf:
-        return 0.0, -math.inf
-    acc = math.fsum(sign * math.exp(lg - peak) for sign, lg in signed_logs)
-    if acc == 0.0:
-        return 0.0, -math.inf
-    return math.copysign(1.0, acc), peak + math.log(abs(acc))
+        return TruncatedCdf(min(max(total, 0.0), 1.0), converged)
 
 
 def cdf_series_coeff(n: int, p: RicianShadowedParams, gamma: float) -> float:
     """Order-n coefficient alpha(n) of the truncated CDF expansion.
+
+    alpha(n) = sum_{i=0}^{n} (-1)^(n-i) (m/(K+m))^m (m)_i / Gamma(i+1)^2
+               * (K/(K+m))^i ((1+K)/P)^(n+1) gamma^(n+1) / ((n-i)! (n+1))
 
     May be negative for n >= 1 (the expansion alternates).  gamma = 0
     yields exactly 0.
@@ -181,12 +313,9 @@ def cdf_series_coeff(n: int, p: RicianShadowedParams, gamma: float) -> float:
         raise ValueError(f"series order must be non-negative, got {n}")
     if not gamma >= 0 or math.isinf(gamma):
         raise ValueError(f"threshold must be finite and non-negative, got {gamma}")
-    sign, log_mag = _alpha_signed_log(n, p, gamma)
-    if sign == 0.0:
+    if gamma == 0.0:
         return 0.0
-    if log_mag > _LOG_HUGE:
-        return math.copysign(math.inf, sign)
-    return sign * math.exp(log_mag)
+    return _signed_exp(*TruncatedSeries(p, (), gamma, n)._log_terms(p.mean_power, ())[n])
 
 
 def _diverging(magnitudes: list[float]) -> bool:
@@ -203,37 +332,9 @@ def _diverging(magnitudes: list[float]) -> bool:
 
 
 def cdf_truncated(p: RicianShadowedParams, gamma: float, k_tr: int) -> TruncatedCdf:
-    """P(X <= gamma) from the first k_tr + 1 series coefficients.
-
-    The truncated sum is clamped to [0, 1]; the alternating series can
-    slightly overshoot before it has converged.  `converged` goes false
-    when per-order magnitudes keep growing (threshold far outside the
-    expansion's useful range) or a term overflows.
-    """
-    if not gamma >= 0:
-        raise ValueError(f"threshold must be non-negative, got {gamma}")
-    if k_tr < 0:
-        raise ValueError(f"truncation order must be non-negative, got {k_tr}")
-    if gamma == 0.0:
-        return TruncatedCdf(0.0, True)
-    if math.isinf(gamma):
-        return TruncatedCdf(1.0, True)
-    terms = []
-    converged = True
-    for n in range(k_tr + 1):
-        sign, log_mag = _alpha_signed_log(n, p, gamma)
-        if sign == 0.0:
-            terms.append(0.0)
-            continue
-        if log_mag > _LOG_HUGE:
-            converged = False
-            terms.append(math.copysign(math.inf, sign))
-            continue
-        terms.append(sign * math.exp(log_mag))
-    total = math.fsum(t for t in terms if math.isfinite(t))
-    if _diverging([abs(t) for t in terms]):
-        converged = False
-    return TruncatedCdf(min(max(total, 0.0), 1.0), converged)
+    """P(X <= gamma) from the first k_tr + 1 series coefficients: the
+    interference-free case of `TruncatedSeries`."""
+    return TruncatedSeries(p, (), gamma, k_tr).at(p.mean_power, ())
 
 
 def _check_size(size: int | None, antithetic: bool) -> None:

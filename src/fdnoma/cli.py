@@ -4,8 +4,10 @@
                  [--mc] [--samples N] [--seed S] [--ktr N] [--strict]
     fdnoma point --config scenario.ini --scheme fd_noma --node uav2 --pt 20
 
-Exit codes: 0 on success, 1 on config or validation errors, 2 when
---strict is set and any sweep row failed to converge.
+Exit codes: 0 on success, 1 on config, validation or arithmetic errors,
+2 when --strict is set and any sweep row failed to converge.  A sweep
+whose evaluator raised on some rows writes them as NaN and says so on
+stderr, whatever the exit code.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from dataclasses import replace
 
 from .outage import Node, Scheme, evaluate_outage
 from .scenario import (
-    ConfigError,
     SweepRow,
     emit_csv,
     emit_plot_data,
@@ -73,6 +74,14 @@ def _run_sweep(args) -> int:
     emit_csv(table, args.out)
     if args.plot_data:
         emit_plot_data(table, args.plot_data)
+    failed = [row for row in table.rows if row.error is not None]
+    if failed:
+        first = failed[0]
+        print(
+            f"warning: {len(failed)} row(s) failed to evaluate (first: "
+            f"{first.scheme.value} {first.node.value} at {first.pt_db:g} dB: {first.error})",
+            file=sys.stderr,
+        )
     if args.strict and any(not row.converged for row in table.rows):
         bad = [row for row in table.rows if not row.converged]
         print(
@@ -108,10 +117,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep":
             return _run_sweep(args)
         return _run_point(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

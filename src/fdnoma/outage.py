@@ -8,8 +8,9 @@ rate is half of it.
 
 The generic evaluator expands the outage probability
 P(X0 <= gamma (1 + sum_i X_i)) into a truncated series over CDF expansion
-coefficients of the desired link and moment products of the interferers;
-the power-domain NOMA interference at a downlink UAV is folded into an
+coefficients of the desired link and moments of the interference sum;
+each (scheme, node) pair is one `OutageCurve` over transmit power; the
+power-domain NOMA interference at a downlink UAV is folded into an
 effective threshold gamma* instead, which becomes infinite (certain
 outage) when the rate exceeds what the power split can support.
 
@@ -26,21 +27,15 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from functools import partial
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .channel import (
+    MAX_MOMENT_ORDER,
     ExponentialParams,
     RicianShadowedParams,
     TruncatedCdf,
-    _LOG_HUGE,
-    _alpha_signed_log,
-    _diverging,
-    cdf_truncated,
-    exponential_moment,
-    rician_shadowed_moment,
+    TruncatedSeries,
 )
-from .specfun import compositions, log_multinomial
 
 __all__ = [
     "Scheme",
@@ -50,6 +45,7 @@ __all__ = [
     "LinkBudget",
     "SystemConfig",
     "OutageResult",
+    "OutageCurve",
     "rate_for",
     "sinr_threshold",
     "noma_effective_threshold",
@@ -62,9 +58,6 @@ __all__ = [
     "outage_oma_uav",
     "evaluate_outage",
 ]
-
-MomentFn = Callable[[int], float]
-
 
 class Scheme(enum.Enum):
     FD_NOMA = "fd_noma"
@@ -165,6 +158,11 @@ class SystemConfig:
             raise ValueError(f"estimation-error scale epsilon must be >= 0, got {self.epsilon}")
         if self.k_tr < 0:
             raise ValueError(f"truncation order k_tr must be >= 0, got {self.k_tr}")
+        if self.k_tr + 1 > MAX_MOMENT_ORDER:
+            raise ValueError(
+                f"truncation order k_tr must be <= {MAX_MOMENT_ORDER - 1} (the series "
+                f"uses moments up to order k_tr + 1), got {self.k_tr}"
+            )
         if not self.r_oma >= 0:
             raise ValueError(f"base rate r_oma must be >= 0, got {self.r_oma}")
 
@@ -228,72 +226,23 @@ def noma_effective_threshold(gamma: float, alloc: float, residual: float) -> flo
 
 def outage_series(
     desired: RicianShadowedParams,
-    interferer_moments: Sequence[MomentFn],
+    interferers: Sequence[RicianShadowedParams | ExponentialParams],
     gamma: float,
     k_tr: int,
 ) -> TruncatedCdf:
-    """Truncated series for P(X0 <= gamma (1 + sum_j X_j)).
+    """Truncated series for P(X0 <= gamma (1 + sum_j Y_j)).
 
-    Each entry of `interferer_moments` maps a non-negative order l to
-    E{X_j^l} (orders up to k_tr + 1 are used).  Order n of the series
-    combines the CDF expansion coefficient of the desired link with
-    moment products over all compositions of n + 1 across the interferer
-    slots plus one implicit unit-moment slot for the noise term.
+    `interferers` holds the independent interference powers Y_j, each a
+    Rician shadowed or exponential law with its mean power.  Order n of
+    the series combines the CDF expansion coefficient of the desired link
+    with E{(1 + sum_j Y_j)^(n+1)}; see `TruncatedSeries`, whose one-point
+    case this is.
 
     The sum is clamped to [0, 1]; an infinite threshold short-circuits to
     certain outage.
     """
-    if k_tr < 0:
-        raise ValueError(f"truncation order must be non-negative, got {k_tr}")
-    if not gamma >= 0:
-        raise ValueError(f"threshold must be non-negative, got {gamma}")
-    if math.isinf(gamma):
-        return TruncatedCdf(1.0, True)
-    if gamma == 0.0:
-        return TruncatedCdf(0.0, True)
-    if not interferer_moments:
-        return cdf_truncated(desired, gamma, k_tr)
-
-    num_slots = len(interferer_moments) + 1
-    log_moments = []
-    for fn in interferer_moments:
-        col = []
-        for order in range(k_tr + 2):
-            value = fn(order)
-            if value < 0:
-                raise ValueError(f"moment of order {order} is negative: {value}")
-            col.append(math.log(value) if value > 0 else -math.inf)
-        log_moments.append(col)
-
-    terms = []
-    converged = True
-    for n in range(k_tr + 1):
-        sign, log_alpha = _alpha_signed_log(n, desired, gamma)
-        if sign == 0.0:
-            terms.append(0.0)
-            continue
-        comp_logs = []
-        for comp in compositions(n + 1, num_slots):
-            lg = log_multinomial(comp)
-            for j in range(len(interferer_moments)):
-                lg += log_moments[j][comp.parts[j]]
-            comp_logs.append(lg)
-        peak = max(comp_logs)
-        if peak == -math.inf:
-            terms.append(0.0)
-            continue
-        log_s = peak + math.log(math.fsum(math.exp(x - peak) for x in comp_logs))
-        log_term = log_alpha + log_s
-        if log_term > _LOG_HUGE:
-            converged = False
-            terms.append(math.copysign(math.inf, sign))
-            continue
-        terms.append(sign * math.exp(log_term))
-
-    total = math.fsum(t for t in terms if math.isfinite(t))
-    if _diverging([abs(t) for t in terms]):
-        converged = False
-    return TruncatedCdf(min(max(total, 0.0), 1.0), converged)
+    series = TruncatedSeries(desired, interferers, gamma, k_tr)
+    return series.at(desired.mean_power, [q.mean_power for q in interferers])
 
 
 def _scaled(unit_params: RicianShadowedParams, mean_power: float) -> RicianShadowedParams:
@@ -313,86 +262,109 @@ def _budget(cfg: SystemConfig, distance_km: float) -> float:
     return LinkBudget(cfg.pt_linear, distance_km, cfg.geometry.pathloss_exp).mean_power()
 
 
-def outage_fd_gs(cfg: SystemConfig) -> OutageResult:
-    """FD-NOMA outage at the ground station.
+def _signal_model(cfg: SystemConfig, scheme: Scheme, node: Node):
+    """The desired link, the interferers and the threshold of one pair.
 
-    The uplink signal competes against the two residual self-interference
-    components: a Rician shadowed term scaled by the phase-noise/noise
-    power ratio and an exponential channel-estimation error term.
+    Links are (unit-mean fading, gain, loss) triples whose mean power is
+    pt_linear * gain / loss, with pathloss as the loss so that it is applied
+    exactly as `LinkBudget` does.
+
+    * Ground station: the uplink signal; under FD-NOMA it competes against
+      the residual self-interference, a Rician shadowed term scaled by the
+      phase-noise/noise power ratio plus an exponential channel-estimation
+      error term (dropped when epsilon = 0).
+    * Downlink UAV under NOMA: the power split is folded into the effective
+      threshold, and under FD-NOMA the uplink UAV adds one Rician shadowed
+      interference term.
+    * Downlink UAV under HD-OMA: orthogonal resources, so neither a NOMA
+      threshold transform nor interference terms apply.
     """
-    gamma = sinr_threshold(rate_for(Scheme.FD_NOMA, cfg.r_oma))
-    desired = _scaled(cfg.fading.link_1g, _budget(cfg, cfg.geometry.d_1g))
-    si_fading = _scaled(cfg.fading.link_si, cfg.pt_linear * cfg.si_power_ratio)
-    moments: list[MomentFn] = [partial(rician_shadowed_moment, si_fading)]
-    if cfg.epsilon > 0:
-        est_err = ExponentialParams(cfg.pt_linear * cfg.epsilon)
-        moments.append(partial(exponential_moment, est_err))
-    result = outage_series(desired, moments, gamma, cfg.k_tr)
-    return OutageResult(Scheme.FD_NOMA, Node.GS, result.value, gamma, result.converged)
+    gamma = sinr_threshold(rate_for(scheme, cfg.r_oma))
+    eta = cfg.geometry.pathloss_exp
+    if node is Node.GS:
+        desired = (cfg.fading.link_1g, 1.0, cfg.geometry.d_1g**eta)
+        interferers = []
+        if scheme is Scheme.FD_NOMA:
+            interferers.append((cfg.fading.link_si, cfg.si_power_ratio, 1.0))
+            if cfg.epsilon > 0:
+                interferers.append((ExponentialParams(1.0), cfg.epsilon, 1.0))
+        return desired, interferers, gamma
+    d_gi, d_1i, fading_gi, fading_1i, alloc, residual = _downlink_geometry(cfg, node)
+    desired = (fading_gi, 1.0, d_gi**eta)
+    if scheme is Scheme.HD_OMA:
+        return desired, [], gamma
+    gamma = noma_effective_threshold(gamma, alloc, residual)
+    if scheme is Scheme.HD_NOMA:
+        return desired, [], gamma
+    return desired, [(fading_1i, 1.0, d_1i**eta)], gamma
+
+
+class OutageCurve:
+    """Closed-form outage of one (scheme, node) pair over transmit power.
+
+    Everything that does not depend on the transmit power (the threshold
+    and the `TruncatedSeries` tables) is computed once, here; `at` then
+    evaluates one power point.  `evaluate_outage` is the one-point case,
+    so a point evaluation equals the matching sweep row bit for bit.  The
+    transmit power `cfg.p_t` itself is not used.
+    """
+
+    def __init__(self, cfg: SystemConfig, scheme: Scheme, node: Node):
+        self.scheme = scheme
+        self.node = node
+        desired, interferers, self.threshold = _signal_model(cfg, scheme, node)
+        self._links = [desired] + interferers
+        self._series = TruncatedSeries(
+            desired[0], [fading for fading, _, _ in interferers], self.threshold, cfg.k_tr
+        )
+
+    def at(self, pt_db: float) -> OutageResult:
+        """Outage probability at transmit power pt_db (dB over the noise floor)."""
+        pt_linear = 10.0 ** (pt_db / 10.0)
+        desired, *interferers = [pt_linear * gain / loss for _, gain, loss in self._links]
+        result = self._series.at(desired, interferers)
+        return OutageResult(
+            self.scheme, self.node, result.value, self.threshold, result.converged
+        )
+
+
+def evaluate_outage(cfg: SystemConfig, scheme: Scheme, node: Node) -> OutageResult:
+    """Closed-form outage of (scheme, node) at the transmit power cfg.p_t."""
+    return OutageCurve(cfg, scheme, node).at(cfg.p_t)
+
+
+def _require_uav(node: Node) -> Node:
+    if node is Node.GS:
+        raise ValueError(f"downlink evaluation requires UAV2 or UAV3, got {node}")
+    return node
+
+
+def outage_fd_gs(cfg: SystemConfig) -> OutageResult:
+    """FD-NOMA outage at the ground station."""
+    return evaluate_outage(cfg, Scheme.FD_NOMA, Node.GS)
 
 
 def outage_fd_uav(cfg: SystemConfig, node: Node) -> OutageResult:
-    """FD-NOMA outage at a downlink UAV.
-
-    The NOMA power split is folded into the effective threshold; the
-    uplink UAV contributes one Rician shadowed interference term.
-    """
-    d_gi, d_1i, fading_gi, fading_1i, alloc, residual = _downlink_geometry(cfg, node)
-    gamma = sinr_threshold(rate_for(Scheme.FD_NOMA, cfg.r_oma))
-    gamma_eff = noma_effective_threshold(gamma, alloc, residual)
-    if math.isinf(gamma_eff):
-        return OutageResult(Scheme.FD_NOMA, node, 1.0, math.inf, True)
-    desired = _scaled(fading_gi, _budget(cfg, d_gi))
-    uplink = _scaled(fading_1i, _budget(cfg, d_1i))
-    result = outage_series(
-        desired, [partial(rician_shadowed_moment, uplink)], gamma_eff, cfg.k_tr
-    )
-    return OutageResult(Scheme.FD_NOMA, node, result.value, gamma_eff, result.converged)
+    """FD-NOMA outage at a downlink UAV."""
+    return evaluate_outage(cfg, Scheme.FD_NOMA, _require_uav(node))
 
 
 def outage_hd_gs(cfg: SystemConfig) -> OutageResult:
     """HD-NOMA outage at the ground station: no self-interference."""
-    gamma = sinr_threshold(rate_for(Scheme.HD_NOMA, cfg.r_oma))
-    desired = _scaled(cfg.fading.link_1g, _budget(cfg, cfg.geometry.d_1g))
-    result = cdf_truncated(desired, gamma, cfg.k_tr)
-    return OutageResult(Scheme.HD_NOMA, Node.GS, result.value, gamma, result.converged)
+    return evaluate_outage(cfg, Scheme.HD_NOMA, Node.GS)
 
 
 def outage_hd_uav(cfg: SystemConfig, node: Node) -> OutageResult:
     """HD-NOMA outage at a downlink UAV: no uplink interference, but the
     NOMA split still applies through the effective threshold."""
-    d_gi, _, fading_gi, _, alloc, residual = _downlink_geometry(cfg, node)
-    gamma = sinr_threshold(rate_for(Scheme.HD_NOMA, cfg.r_oma))
-    gamma_eff = noma_effective_threshold(gamma, alloc, residual)
-    if math.isinf(gamma_eff):
-        return OutageResult(Scheme.HD_NOMA, node, 1.0, math.inf, True)
-    desired = _scaled(fading_gi, _budget(cfg, d_gi))
-    result = cdf_truncated(desired, gamma_eff, cfg.k_tr)
-    return OutageResult(Scheme.HD_NOMA, node, result.value, gamma_eff, result.converged)
+    return evaluate_outage(cfg, Scheme.HD_NOMA, _require_uav(node))
 
 
 def outage_oma_gs(cfg: SystemConfig) -> OutageResult:
     """HD-OMA outage at the ground station: full rate, no interference."""
-    gamma = sinr_threshold(rate_for(Scheme.HD_OMA, cfg.r_oma))
-    desired = _scaled(cfg.fading.link_1g, _budget(cfg, cfg.geometry.d_1g))
-    result = cdf_truncated(desired, gamma, cfg.k_tr)
-    return OutageResult(Scheme.HD_OMA, Node.GS, result.value, gamma, result.converged)
+    return evaluate_outage(cfg, Scheme.HD_OMA, Node.GS)
 
 
 def outage_oma_uav(cfg: SystemConfig, node: Node) -> OutageResult:
-    """HD-OMA outage at a downlink UAV: orthogonal resources, so neither a
-    NOMA threshold transform nor interference terms apply."""
-    d_gi, _, fading_gi, _, _, _ = _downlink_geometry(cfg, node)
-    gamma = sinr_threshold(rate_for(Scheme.HD_OMA, cfg.r_oma))
-    desired = _scaled(fading_gi, _budget(cfg, d_gi))
-    result = cdf_truncated(desired, gamma, cfg.k_tr)
-    return OutageResult(Scheme.HD_OMA, node, result.value, gamma, result.converged)
-
-
-def evaluate_outage(cfg: SystemConfig, scheme: Scheme, node: Node) -> OutageResult:
-    """Dispatch to the closed-form evaluator for (scheme, node)."""
-    if scheme is Scheme.FD_NOMA:
-        return outage_fd_gs(cfg) if node is Node.GS else outage_fd_uav(cfg, node)
-    if scheme is Scheme.HD_NOMA:
-        return outage_hd_gs(cfg) if node is Node.GS else outage_hd_uav(cfg, node)
-    return outage_oma_gs(cfg) if node is Node.GS else outage_oma_uav(cfg, node)
+    """HD-OMA outage at a downlink UAV."""
+    return evaluate_outage(cfg, Scheme.HD_OMA, _require_uav(node))

@@ -20,10 +20,9 @@ from .outage import (
     FadingSet,
     Node,
     NodeGeometry,
-    OutageResult,
+    OutageCurve,
     Scheme,
     SystemConfig,
-    evaluate_outage,
 )
 
 __all__ = [
@@ -131,6 +130,7 @@ class SweepRow:
     converged: bool
     outage_mc: float | None = None
     mc_se: float | None = None
+    error: str | None = None  # why the evaluator raised; not written to CSV
 
 
 @dataclass(frozen=True)
@@ -271,13 +271,39 @@ def _parse_enum_list(raw: str, enum_cls, what: str):
     return tuple(dict.fromkeys(values))  # dedupe, keep order
 
 
+def _evaluate_curve(
+    cfg: SystemConfig, scheme: Scheme, node: Node, grid: list[float]
+) -> list[tuple[float, bool, str | None]]:
+    """(outage, converged, error) of each power point of one pair.  An
+    evaluator error fails its rows (NaN, converged=False) and is kept as
+    text; a failure while building the curve fails all of them."""
+
+    def failed(exc: Exception) -> tuple[float, bool, str]:
+        return math.nan, False, f"{type(exc).__name__}: {exc}"
+
+    try:
+        curve = OutageCurve(cfg, scheme, node)
+    except (ValueError, ArithmeticError) as exc:
+        return [failed(exc)] * len(grid)
+    out = []
+    for pt in grid:
+        try:
+            result = curve.at(pt)
+        except (ValueError, ArithmeticError) as exc:
+            out.append(failed(exc))
+        else:
+            out.append((result.probability, result.converged, None))
+    return out
+
+
 def run_sweep(cfg: SystemConfig, spec: SweepSpec) -> SweepTable:
     """Evaluate every requested (scheme, node, transmit power) row.
 
     Rows are sorted by (scheme, node, pt); Monte Carlo columns are present
     iff the spec asks for them, with one independent substream per row.
-    Evaluator errors mark the row failed (NaN, converged=False) without
-    aborting the sweep.
+    The closed form of each pair is one `OutageCurve` over the power grid.
+    Evaluator errors mark the row failed (NaN, converged=False, `error`
+    set) without aborting the sweep.
     """
     grid = spec.power_grid()
     combos = sorted(
@@ -287,17 +313,15 @@ def run_sweep(cfg: SystemConfig, spec: SweepSpec) -> SweepTable:
     rows: list[SweepRow] = []
     row_index = 0
     for scheme, node in combos:
-        for pt in grid:
-            point_cfg = replace(cfg, p_t=pt)
-            try:
-                result: OutageResult = evaluate_outage(point_cfg, scheme, node)
-                cf, converged = result.probability, result.converged
-            except (ValueError, ArithmeticError):
-                cf, converged = math.nan, False
+        closed = _evaluate_curve(cfg, scheme, node, grid)
+        for pt, (cf, converged, error) in zip(grid, closed):
             estimate: McEstimate | None = None
             if spec.with_mc:
                 estimate = mc_outage(
-                    point_cfg, scheme, node, replace(spec.mc, seed=spec.mc.seed + row_index)
+                    replace(cfg, p_t=pt),
+                    scheme,
+                    node,
+                    replace(spec.mc, seed=spec.mc.seed + row_index),
                 )
             rows.append(
                 SweepRow(
@@ -308,6 +332,7 @@ def run_sweep(cfg: SystemConfig, spec: SweepSpec) -> SweepTable:
                     converged=converged,
                     outage_mc=None if estimate is None else estimate.probability,
                     mc_se=None if estimate is None else estimate.std_error,
+                    error=error,
                 )
             )
             row_index += 1

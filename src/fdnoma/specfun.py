@@ -1,26 +1,17 @@
-"""Scalar special functions and combinatorial enumeration.
+"""Scalar special functions.
 
-Everything here is a pure function of its arguments; large factorial
-arithmetic is done in log space with signs tracked separately so the
-alternating series built on top of these primitives never overflows
-prematurely.
+Everything here is a pure function of its arguments.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator, Sequence
 
 __all__ = [
-    "Composition",
     "SeriesConvergenceError",
     "log_gamma",
     "pochhammer",
     "gauss_2f1",
-    "multinomial_coeff",
-    "log_multinomial",
-    "compositions",
 ]
 
 # Non-terminating hypergeometric series controls: the transformed argument
@@ -40,27 +31,6 @@ class SeriesConvergenceError(ArithmeticError):
         super().__init__(message)
         self.partial_value = partial_value
         self.num_terms = num_terms
-
-
-@dataclass(frozen=True)
-class Composition:
-    """An ordered tuple of non-negative integers with a fixed sum."""
-
-    parts: tuple[int, ...]
-    total: int
-
-    def __post_init__(self) -> None:
-        if any(p < 0 for p in self.parts):
-            raise ValueError(f"composition parts must be non-negative: {self.parts}")
-        if sum(self.parts) != self.total:
-            raise ValueError(
-                f"composition parts {self.parts} sum to {sum(self.parts)}, not {self.total}"
-            )
-
-    @classmethod
-    def of(cls, parts: Sequence[int]) -> "Composition":
-        parts = tuple(int(p) for p in parts)
-        return cls(parts, sum(parts))
 
 
 def log_gamma(x: float) -> float:
@@ -127,38 +97,3 @@ def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
         partial_value=scale * total,
         num_terms=_2F1_MAX_TERMS,
     )
-
-
-def log_multinomial(comp: Composition) -> float:
-    """ln of the multinomial coefficient total! / (l_1! ... l_k!)."""
-    return math.lgamma(comp.total + 1) - math.fsum(
-        math.lgamma(p + 1) for p in comp.parts
-    )
-
-
-def multinomial_coeff(comp: Composition) -> float:
-    """Multinomial coefficient, evaluated in log space to avoid overflow."""
-    return math.exp(log_multinomial(comp))
-
-
-def compositions(total: int, num_parts: int) -> Iterator[Composition]:
-    """All ordered tuples of ``num_parts`` non-negative integers summing to
-    ``total``, in lexicographic order.
-
-    Yields binomial(total + num_parts - 1, num_parts - 1) tuples.
-    """
-    if total < 0:
-        raise ValueError(f"total must be non-negative, got {total}")
-    if num_parts < 1:
-        raise ValueError(f"num_parts must be positive, got {num_parts}")
-    for parts in _composition_parts(total, num_parts):
-        yield Composition(parts, total)
-
-
-def _composition_parts(total: int, num_parts: int) -> Iterator[tuple[int, ...]]:
-    if num_parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _composition_parts(total - first, num_parts - 1):
-            yield (first,) + rest

@@ -9,6 +9,7 @@ from scipy import stats
 from fdnoma.channel import (
     ExponentialParams,
     RicianShadowedParams,
+    TruncatedSeries,
     cdf_series_coeff,
     cdf_truncated,
     exponential_moment,
@@ -203,6 +204,68 @@ def test_cdf_domain():
         cdf_truncated(p, -0.1, 25)
     with pytest.raises(ValueError):
         cdf_truncated(p, 0.1, -1)
+
+
+# ---------------------------------------------------------------------------
+# moments of the interference sum
+# ---------------------------------------------------------------------------
+
+def compositions(total, parts):
+    """Every ordered tuple of `parts` non-negative integers summing to `total`."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def brute_force_power_moment(interferers, k):
+    """E{(1 + sum_j Y_j)^k} by the multinomial theorem: a sum over every
+    composition of k across the noise slot and the interferers."""
+    total = []
+    for parts in compositions(k, len(interferers) + 1):
+        term = float(math.factorial(k))
+        for part in parts:
+            term /= math.factorial(part)
+        for q, part in zip(interferers, parts[1:]):
+            if isinstance(q, ExponentialParams):
+                term *= exponential_moment(q, part)
+            else:
+                term *= rician_shadowed_moment(q, part)
+        total.append(term)
+    return math.fsum(total)
+
+
+INTERFERER_SETS = [
+    [RicianShadowedParams(0.3, 10.0, 3.0)],
+    [ExponentialParams(2.5)],
+    [RicianShadowedParams(40.0, 10.0, 10.0), ExponentialParams(4.0)],
+    [RicianShadowedParams(1.5, 0.0, 2.0), RicianShadowedParams(0.02, 30.0, 0.5)],
+    [
+        RicianShadowedParams(7.0, 1.0, 1.0),
+        ExponentialParams(0.1),
+        RicianShadowedParams(3.0, 10.0, 3.0),
+    ],
+]
+
+
+@pytest.mark.parametrize("interferers", INTERFERER_SETS)
+@pytest.mark.parametrize("k_tr", [0, 5, 12])
+def test_moment_convolution_matches_composition_sum(interferers, k_tr):
+    series = TruncatedSeries(RicianShadowedParams(1.0, 10.0, 10.0), interferers, 0.1, k_tr)
+    log_moments = series._log_power_moments([q.mean_power for q in interferers])
+    assert len(log_moments) == k_tr + 1
+    for k, log_moment in enumerate(log_moments, start=1):
+        want = brute_force_power_moment(interferers, k)
+        assert math.exp(log_moment) == pytest.approx(want, rel=1e-12), k
+
+
+def test_series_takes_one_mean_per_interferer():
+    desired = RicianShadowedParams(1.0, 10.0, 10.0)
+    series = TruncatedSeries(desired, [ExponentialParams(1.0)], 0.1, 5)
+    with pytest.raises(ValueError):
+        series.at(1.0, [])
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,15 @@
 
 import math
 import os
+from dataclasses import replace
 
 import pytest
 
+import fdnoma.cli
 from fdnoma.cli import main
 from fdnoma.montecarlo import McSettings
-from fdnoma.outage import Node, Scheme
+from fdnoma.outage import Node, OutageCurve, Scheme, evaluate_outage
+from fdnoma.specfun import SeriesConvergenceError
 from fdnoma.scenario import (
     CSV_HEADER,
     ConfigError,
@@ -19,6 +22,8 @@ from fdnoma.scenario import (
 )
 
 REFERENCE = os.path.join(os.path.dirname(__file__), "..", "configs", "reference.ini")
+# `fdnoma sweep --config configs/reference.ini` output, kept byte for byte
+REFERENCE_CSV = os.path.join(os.path.dirname(__file__), "data", "reference_cf.csv")
 
 MINIMAL = """
 [geometry]
@@ -144,6 +149,16 @@ def test_sweep_deterministic():
     t1 = run_sweep(cfg, spec)
     t2 = run_sweep(cfg, spec)
     assert t1 == t2
+
+
+def test_point_evaluation_equals_sweep_row_bit_for_bit():
+    cfg, spec = load_config(REFERENCE)
+    table = run_sweep(cfg, spec)
+    assert len(table.rows) == 117
+    for row in table.rows:
+        point = evaluate_outage(replace(cfg, p_t=row.pt_db), row.scheme, row.node)
+        assert point.probability == row.outage_cf, row
+        assert point.converged == row.converged, row
 
 
 def test_sweep_spec_validation():
@@ -279,3 +294,64 @@ def test_cli_strict_nonconvergence_exit_code(tmp_path, capsys):
 def test_cli_point_invalid_scheme():
     with pytest.raises(SystemExit):
         main(["point", "--config", REFERENCE, "--scheme", "xx", "--node", "gs", "--pt", "0"])
+
+
+def test_cli_reference_sweep_matches_golden_csv(tmp_path):
+    out = tmp_path / "reference.csv"
+    assert main(["sweep", "--config", REFERENCE, "--out", str(out)]) == 0
+    with open(REFERENCE_CSV, "rb") as handle:
+        assert out.read_bytes() == handle.read()
+
+
+def test_cli_arithmetic_error_exit_code(monkeypatch, capsys):
+    def diverge(cfg, scheme, node):
+        raise SeriesConvergenceError("series did not converge", 0.5, 10)
+
+    monkeypatch.setattr(fdnoma.cli, "evaluate_outage", diverge)
+    args = ["point", "--config", REFERENCE, "--scheme", "fd_noma", "--node", "gs", "--pt", "60"]
+    code = main(args)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "error: series did not converge\n"
+
+
+def test_cli_point_at_highest_order(capsys):
+    args = ["point", "--config", REFERENCE, "--scheme", "fd_noma", "--node", "gs"]
+    assert main(args + ["--pt", "60", "--ktr", "60"]) == 0
+    assert capsys.readouterr().out.startswith("fd_noma,gs,60,0.00557")
+
+
+def test_cli_sweep_rejects_unsupported_ktr(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code = main(["sweep", "--config", REFERENCE, "--out", str(out), "--ktr", "70"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1 and "k_tr" in err
+    assert not out.exists()
+
+
+def test_cli_sweep_reports_failed_rows(monkeypatch, tmp_path, capsys):
+    evaluate = OutageCurve.at
+
+    def fail_at_10_db(curve, pt_db):
+        if pt_db == 10.0:
+            raise OverflowError("math range error")
+        return evaluate(curve, pt_db)
+
+    monkeypatch.setattr(OutageCurve, "at", fail_at_10_db)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", REFERENCE, "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert err == (
+        "warning: 9 row(s) failed to evaluate "
+        "(first: fd_noma gs at 10 dB: OverflowError: math range error)\n"
+    )
+    # the failed rows read NaN, not converged; every other byte is unchanged
+    with open(REFERENCE_CSV, encoding="utf-8") as handle:
+        want = [line.split(",") for line in handle.read().splitlines()]
+    for fields in want:
+        if fields[2] == "10":
+            fields[3:5] = ["nan", "false"]
+    assert out.read_text(encoding="utf-8") == "".join(",".join(f) + "\n" for f in want)
+    assert main(["sweep", "--config", REFERENCE, "--out", str(out), "--strict"]) == 2
+    assert "warning: 9 row(s)" in capsys.readouterr().err

@@ -1,4 +1,4 @@
-"""Unit tests for the special-function and combinatorics layer."""
+"""Unit tests for the special-function layer."""
 
 import math
 
@@ -6,15 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdnoma.specfun import (
-    Composition,
-    SeriesConvergenceError,
-    compositions,
-    gauss_2f1,
-    log_gamma,
-    multinomial_coeff,
-    pochhammer,
-)
+from fdnoma.specfun import SeriesConvergenceError, gauss_2f1, log_gamma, pochhammer
 
 
 # ---------------------------------------------------------------------------
@@ -141,62 +133,3 @@ def test_2f1_convergence_error_carries_partial_state():
     err = excinfo.value
     assert err.num_terms == 10_000
     assert math.isfinite(err.partial_value) and err.partial_value > 0
-
-
-# ---------------------------------------------------------------------------
-# multinomial coefficients and compositions
-# ---------------------------------------------------------------------------
-
-def test_multinomial_values():
-    assert multinomial_coeff(Composition.of([1, 0, 0])) == pytest.approx(1.0, rel=1e-12)
-    assert multinomial_coeff(Composition.of([2, 1, 1])) == pytest.approx(12.0, rel=1e-12)
-    assert multinomial_coeff(Composition.of([5, 5])) == pytest.approx(252.0, rel=1e-12)
-
-
-def test_multinomial_large_total_stays_finite():
-    comp = Composition.of([100, 60, 40])
-    value = multinomial_coeff(comp)
-    assert math.isfinite(value) and value > 1e80
-
-
-def test_composition_validation():
-    with pytest.raises(ValueError):
-        Composition((1, -1), 0)
-    with pytest.raises(ValueError):
-        Composition((1, 2), 4)
-
-
-def test_compositions_trivial_and_small():
-    assert [c.parts for c in compositions(0, 3)] == [(0, 0, 0)]
-    assert [c.parts for c in compositions(2, 2)] == [(0, 2), (1, 1), (2, 0)]
-    assert len(list(compositions(3, 3))) == 10
-
-
-def test_compositions_domain():
-    with pytest.raises(ValueError):
-        list(compositions(-1, 2))
-    with pytest.raises(ValueError):
-        list(compositions(2, 0))
-
-
-@given(
-    total=st.integers(min_value=0, max_value=8),
-    parts=st.integers(min_value=1, max_value=5),
-)
-@settings(max_examples=60)
-def test_compositions_exhaustive_properties(total, parts):
-    seen = [c.parts for c in compositions(total, parts)]
-    assert len(seen) == math.comb(total + parts - 1, parts - 1)
-    assert len(set(seen)) == len(seen)
-    assert all(sum(p) == total for p in seen)
-    assert seen == sorted(seen)  # lexicographic
-
-
-@given(
-    total=st.integers(min_value=0, max_value=8),
-    parts=st.integers(min_value=1, max_value=5),
-)
-@settings(max_examples=60)
-def test_multinomial_theorem_at_ones(total, parts):
-    acc = math.fsum(multinomial_coeff(c) for c in compositions(total, parts))
-    assert math.isclose(acc, float(parts**total), rel_tol=1e-11)
