@@ -15,10 +15,9 @@ from .channel import (
     sample_exponential,
     sample_rician_shadowed,
 )
-from .montecarlo import McEstimate, McSettings, mc_outage, mc_threshold_equivalence_check
+from .montecarlo import McEstimate, McSettings, mc_outage
 from .outage import (
     FadingSet,
-    LinkBudget,
     Node,
     NodeGeometry,
     OutageCurve,
@@ -27,12 +26,6 @@ from .outage import (
     SystemConfig,
     evaluate_outage,
     noma_effective_threshold,
-    outage_fd_gs,
-    outage_fd_uav,
-    outage_hd_gs,
-    outage_hd_uav,
-    outage_oma_gs,
-    outage_oma_uav,
     outage_series,
     rate_for,
     sinr_threshold,
@@ -46,6 +39,6 @@ from .scenario import (
     load_config,
     run_sweep,
 )
-from .specfun import SeriesConvergenceError, gauss_2f1, log_gamma, pochhammer
+from .specfun import SeriesConvergenceError, gauss_2f1
 
 __version__ = "0.1.0"

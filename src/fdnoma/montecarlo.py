@@ -1,10 +1,11 @@
 """Monte Carlo outage oracle.
 
-Draws per-sample fading realisations from the raw signal model and counts
-outage events.  SINRs are formed directly from the power allocation,
-residual-SIC and interference terms rather than through the effective
-threshold transform, so an agreement between this estimator and the
-closed-form series is evidence for both.
+Draws per-sample fading realisations of the links in `outage.signal_model`
+(the one description of each (scheme, node) pair, shared with the closed
+form) and counts outage events.  SINRs are formed directly from the power
+allocation, residual-SIC and interference terms rather than through the
+effective threshold transform or any series algebra, so an agreement
+between this estimator and the closed-form series is evidence for both.
 
 Samples are drawn in fixed-size batches; each batch gets an independent
 substream derived from (seed, batch index), so an estimate depends only on
@@ -18,24 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (
-    ExponentialParams,
-    sample_exponential,
-    sample_rician_shadowed,
-)
-from .outage import (
-    Node,
-    Scheme,
-    SystemConfig,
-    noma_effective_threshold,
-    rate_for,
-    sinr_threshold,
-    _downlink_geometry,
-    _scaled,
-    _budget,
-)
+from .channel import ExponentialParams, sample_exponential, sample_rician_shadowed
+from .outage import Node, Scheme, SystemConfig, signal_model
 
-__all__ = ["McSettings", "McEstimate", "mc_outage", "mc_threshold_equivalence_check"]
+__all__ = ["McSettings", "McEstimate", "mc_outage"]
 
 _BATCH = 1 << 18
 _SEED_MASK = (1 << 64) - 1
@@ -77,38 +64,32 @@ def _batch_sizes(num_samples: int, antithetic: bool):
         index += 1
 
 
+def _draw(fading, rng, size: int, antithetic: bool) -> np.ndarray:
+    if isinstance(fading, ExponentialParams):
+        return sample_exponential(fading, rng, size, antithetic)
+    return sample_rician_shadowed(fading, rng, size, antithetic)
+
+
 def _outage_indicator(
     cfg: SystemConfig, scheme: Scheme, node: Node, rng, size: int, antithetic: bool
 ) -> np.ndarray:
-    """One batch of outage event indicators from the raw signal model."""
-    gamma = sinr_threshold(rate_for(scheme, cfg.r_oma))
-    if node is Node.GS:
-        desired = _scaled(cfg.fading.link_1g, _budget(cfg, cfg.geometry.d_1g))
-        x = sample_rician_shadowed(desired, rng, size, antithetic)
-        if scheme is Scheme.FD_NOMA:
-            si = _scaled(cfg.fading.link_si, cfg.pt_linear * cfg.si_power_ratio)
-            y1 = sample_rician_shadowed(si, rng, size, antithetic)
-            if cfg.epsilon > 0:
-                est = ExponentialParams(cfg.pt_linear * cfg.epsilon)
-                y2 = sample_exponential(est, rng, size, antithetic)
-            else:
-                y2 = 0.0
-            return x / (y1 + y2 + 1.0) <= gamma
-        return x <= gamma
+    """One batch of outage event indicators from the raw signal model.
 
-    d_gi, d_1i, fading_gi, fading_1i, alloc, residual = _downlink_geometry(cfg, node)
-    desired = _scaled(fading_gi, _budget(cfg, d_gi))
-    x = sample_rician_shadowed(desired, rng, size, antithetic)
-    if scheme is Scheme.HD_OMA:
-        return x <= gamma
-    if scheme is Scheme.FD_NOMA:
-        uplink = _scaled(fading_1i, _budget(cfg, d_1i))
-        y = sample_rician_shadowed(uplink, rng, size, antithetic)
+    Draws the desired link, then each interferer in model order, and forms
+    the SINR from the power split itself rather than through the effective
+    threshold the closed form uses.
+    """
+    model = signal_model(cfg, scheme, node)
+    x = _draw(model.desired.scaled(cfg.pt_linear), rng, size, antithetic)
+    y = 0.0
+    for link in model.interferers:
+        y = y + _draw(link.scaled(cfg.pt_linear), rng, size, antithetic)
+    if model.split is None:
+        sinr = x / (y + 1.0)
     else:
-        y = 0.0
-    # residual = beta at the SIC user (UAV-2), 1 at the II user (UAV-3)
-    sinr = alloc * x / (residual * (1.0 - alloc) * x + y + 1.0)
-    return sinr <= gamma
+        alloc, residual = model.split
+        sinr = alloc * x / (residual * (1.0 - alloc) * x + y + 1.0)
+    return sinr <= model.gamma
 
 
 def mc_outage(
@@ -129,30 +110,3 @@ def mc_outage(
     p = count / mc.num_samples
     se = math.sqrt(p * (1.0 - p) / mc.num_samples)
     return McEstimate(p, se, mc.num_samples)
-
-
-def mc_threshold_equivalence_check(
-    cfg: SystemConfig,
-    node: Node,
-    num_samples: int = 100_000,
-    seed: int = 0,
-) -> bool:
-    """Sample-wise check that the raw-SINR outage event and its effective
-    threshold form decide identically at a downlink UAV.
-
-    Uses the full-duplex rate and interference model.  Requires a finite
-    effective threshold (positive denominator); the two event forms are
-    then algebraically the same, so any disagreement indicates a modelling
-    or numerical fault.  Returns True iff zero samples disagree.
-    """
-    d_gi, d_1i, fading_gi, fading_1i, alloc, residual = _downlink_geometry(cfg, node)
-    gamma = sinr_threshold(rate_for(Scheme.FD_NOMA, cfg.r_oma))
-    gamma_eff = noma_effective_threshold(gamma, alloc, residual)
-    if math.isinf(gamma_eff):
-        raise ValueError("equivalence check requires a finite effective threshold")
-    rng = _batch_rng(seed, 0)
-    x = sample_rician_shadowed(_scaled(fading_gi, _budget(cfg, d_gi)), rng, num_samples)
-    y = sample_rician_shadowed(_scaled(fading_1i, _budget(cfg, d_1i)), rng, num_samples)
-    direct = alloc * x / (residual * (1.0 - alloc) * x + y + 1.0) <= gamma
-    transformed = x / (y + 1.0) <= gamma_eff
-    return bool(np.all(direct == transformed))

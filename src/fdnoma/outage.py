@@ -8,11 +8,13 @@ rate is half of it.
 
 The generic evaluator expands the outage probability
 P(X0 <= gamma (1 + sum_i X_i)) into a truncated series over CDF expansion
-coefficients of the desired link and moments of the interference sum;
-each (scheme, node) pair is one `OutageCurve` over transmit power; the
-power-domain NOMA interference at a downlink UAV is folded into an
-effective threshold gamma* instead, which becomes infinite (certain
-outage) when the rate exceeds what the power split can support.
+coefficients of the desired link and moments of the interference sum.
+Each (scheme, node) pair is described once, by `signal_model`, which the
+Monte Carlo oracle reads too, and evaluated as one `OutageCurve` over
+transmit power.  The closed form folds the power-domain NOMA interference
+at a downlink UAV into an effective threshold gamma*, which becomes
+infinite (certain outage) when the rate exceeds what the power split can
+support.
 
 Transmit power is expressed in dB relative to the receiver noise floor, so
 SINR denominators carry a unit noise term.  The oscillator phase-noise
@@ -42,20 +44,16 @@ __all__ = [
     "Node",
     "NodeGeometry",
     "FadingSet",
-    "LinkBudget",
     "SystemConfig",
+    "Link",
+    "SignalModel",
     "OutageResult",
     "OutageCurve",
     "rate_for",
     "sinr_threshold",
     "noma_effective_threshold",
+    "signal_model",
     "outage_series",
-    "outage_fd_gs",
-    "outage_fd_uav",
-    "outage_hd_gs",
-    "outage_hd_uav",
-    "outage_oma_gs",
-    "outage_oma_uav",
     "evaluate_outage",
 ]
 
@@ -101,7 +99,7 @@ class NodeGeometry:
 @dataclass(frozen=True)
 class FadingSet:
     """Unit-mean fading parameters per link; power scaling comes from the
-    link budget, never from these."""
+    signal model's gain and loss, never from these."""
 
     link_1g: RicianShadowedParams
     link_si: RicianShadowedParams
@@ -114,19 +112,6 @@ class FadingSet:
         for name in ("link_1g", "link_si", "link_g2", "link_g3", "link_12", "link_13"):
             if getattr(self, name).mean_power != 1.0:
                 raise ValueError(f"fading params for {name} must have unit mean_power")
-
-
-@dataclass(frozen=True)
-class LinkBudget:
-    """Received mean power of one link: noise-normalised transmit power
-    attenuated by distance^pathloss_exp."""
-
-    tx_power: float
-    distance_km: float
-    pathloss_exp: float
-
-    def mean_power(self) -> float:
-        return self.tx_power / self.distance_km**self.pathloss_exp
 
 
 @dataclass(frozen=True)
@@ -150,12 +135,16 @@ class SystemConfig:
     fading: FadingSet
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.p_t):
+            raise ValueError(f"transmit power p_t must be finite, got {self.p_t}")
         if not 0 < self.a_gs2 < 1:
             raise ValueError(f"power allocation a_gs2 must lie in (0, 1), got {self.a_gs2}")
         if not 0 <= self.beta <= 1:
             raise ValueError(f"residual SIC strength beta must lie in [0, 1], got {self.beta}")
-        if not self.epsilon >= 0:
-            raise ValueError(f"estimation-error scale epsilon must be >= 0, got {self.epsilon}")
+        if not (self.epsilon >= 0 and math.isfinite(self.epsilon)):
+            raise ValueError(
+                f"estimation-error scale epsilon must be finite and >= 0, got {self.epsilon}"
+            )
         if self.k_tr < 0:
             raise ValueError(f"truncation order k_tr must be >= 0, got {self.k_tr}")
         if self.k_tr + 1 > MAX_MOMENT_ORDER:
@@ -245,58 +234,80 @@ def outage_series(
     return series.at(desired.mean_power, [q.mean_power for q in interferers])
 
 
-def _scaled(unit_params: RicianShadowedParams, mean_power: float) -> RicianShadowedParams:
-    return replace(unit_params, mean_power=mean_power)
+@dataclass(frozen=True)
+class Link:
+    """One link of a signal model: unit-mean fading scaled by gain / loss.
+
+    At noise-normalised transmit power pt_linear its mean power is
+    pt_linear * gain / loss; the loss of a distance-attenuated link is
+    distance_km**pathloss_exp.
+    """
+
+    fading: RicianShadowedParams | ExponentialParams
+    gain: float
+    loss: float
+
+    def mean_power(self, pt_linear: float) -> float:
+        return pt_linear * self.gain / self.loss
+
+    def scaled(self, pt_linear: float) -> RicianShadowedParams | ExponentialParams:
+        """The fading law with its mean power at transmit power pt_linear."""
+        return replace(self.fading, mean_power=self.mean_power(pt_linear))
 
 
-def _downlink_geometry(cfg: SystemConfig, node: Node):
-    geo = cfg.geometry
-    if node is Node.UAV2:
-        return geo.d_g2, geo.d_12, cfg.fading.link_g2, cfg.fading.link_12, cfg.a_gs2, cfg.beta
-    if node is Node.UAV3:
-        return geo.d_g3, geo.d_13, cfg.fading.link_g3, cfg.fading.link_13, 1.0 - cfg.a_gs2, 1.0
-    raise ValueError(f"downlink evaluation requires UAV2 or UAV3, got {node}")
+@dataclass(frozen=True)
+class SignalModel:
+    """The SINR model of one (scheme, node) pair.
+
+    The SINR is X / (sum_j Y_j + 1) over the desired power X and the
+    interference powers Y_j; at a NOMA downlink, where `split` is
+    (alloc, residual), it is alloc X / (residual (1 - alloc) X + sum_j Y_j + 1).
+    Outage is SINR <= gamma = 2^rate - 1.
+    """
+
+    desired: Link
+    interferers: tuple[Link, ...]
+    gamma: float
+    split: tuple[float, float] | None
 
 
-def _budget(cfg: SystemConfig, distance_km: float) -> float:
-    return LinkBudget(cfg.pt_linear, distance_km, cfg.geometry.pathloss_exp).mean_power()
-
-
-def _signal_model(cfg: SystemConfig, scheme: Scheme, node: Node):
-    """The desired link, the interferers and the threshold of one pair.
-
-    Links are (unit-mean fading, gain, loss) triples whose mean power is
-    pt_linear * gain / loss, with pathloss as the loss so that it is applied
-    exactly as `LinkBudget` does.
+def signal_model(cfg: SystemConfig, scheme: Scheme, node: Node) -> SignalModel:
+    """The desired link, the interferers, the threshold and the power split
+    of one (scheme, node) pair; both the closed form and Monte Carlo read it.
 
     * Ground station: the uplink signal; under FD-NOMA it competes against
       the residual self-interference, a Rician shadowed term scaled by the
-      phase-noise/noise power ratio plus an exponential channel-estimation
+      phase-noise/noise power ratio, plus an exponential channel-estimation
       error term (dropped when epsilon = 0).
-    * Downlink UAV under NOMA: the power split is folded into the effective
-      threshold, and under FD-NOMA the uplink UAV adds one Rician shadowed
-      interference term.
-    * Downlink UAV under HD-OMA: orthogonal resources, so neither a NOMA
-      threshold transform nor interference terms apply.
+    * Downlink UAV under NOMA: the power split applies, with the leftover
+      beta after SIC at the near user UAV-2 and the full interfering share
+      at the interference-ignorant far user UAV-3; under FD-NOMA the uplink
+      UAV adds one Rician shadowed interference term.
+    * Downlink UAV under HD-OMA: orthogonal resources, so neither a power
+      split nor interference terms apply.
     """
     gamma = sinr_threshold(rate_for(scheme, cfg.r_oma))
-    eta = cfg.geometry.pathloss_exp
+    geo, fading = cfg.geometry, cfg.fading
+    eta = geo.pathloss_exp
     if node is Node.GS:
-        desired = (cfg.fading.link_1g, 1.0, cfg.geometry.d_1g**eta)
-        interferers = []
+        interferers: tuple[Link, ...] = ()
         if scheme is Scheme.FD_NOMA:
-            interferers.append((cfg.fading.link_si, cfg.si_power_ratio, 1.0))
+            interferers = (Link(fading.link_si, cfg.si_power_ratio, 1.0),)
             if cfg.epsilon > 0:
-                interferers.append((ExponentialParams(1.0), cfg.epsilon, 1.0))
-        return desired, interferers, gamma
-    d_gi, d_1i, fading_gi, fading_1i, alloc, residual = _downlink_geometry(cfg, node)
-    desired = (fading_gi, 1.0, d_gi**eta)
+                interferers += (Link(ExponentialParams(1.0), cfg.epsilon, 1.0),)
+        return SignalModel(Link(fading.link_1g, 1.0, geo.d_1g**eta), interferers, gamma, None)
+    if node is Node.UAV2:
+        desired = Link(fading.link_g2, 1.0, geo.d_g2**eta)
+        uplink = Link(fading.link_12, 1.0, geo.d_12**eta)
+        split = (cfg.a_gs2, cfg.beta)
+    else:
+        desired = Link(fading.link_g3, 1.0, geo.d_g3**eta)
+        uplink = Link(fading.link_13, 1.0, geo.d_13**eta)
+        split = (1.0 - cfg.a_gs2, 1.0)
     if scheme is Scheme.HD_OMA:
-        return desired, [], gamma
-    gamma = noma_effective_threshold(gamma, alloc, residual)
-    if scheme is Scheme.HD_NOMA:
-        return desired, [], gamma
-    return desired, [(fading_1i, 1.0, d_1i**eta)], gamma
+        return SignalModel(desired, (), gamma, None)
+    interferers = (uplink,) if scheme is Scheme.FD_NOMA else ()
+    return SignalModel(desired, interferers, gamma, split)
 
 
 class OutageCurve:
@@ -312,16 +323,22 @@ class OutageCurve:
     def __init__(self, cfg: SystemConfig, scheme: Scheme, node: Node):
         self.scheme = scheme
         self.node = node
-        desired, interferers, self.threshold = _signal_model(cfg, scheme, node)
-        self._links = [desired] + interferers
+        model = signal_model(cfg, scheme, node)
+        self.threshold = model.gamma
+        if model.split is not None:
+            self.threshold = noma_effective_threshold(model.gamma, *model.split)
+        self._links = (model.desired,) + model.interferers
         self._series = TruncatedSeries(
-            desired[0], [fading for fading, _, _ in interferers], self.threshold, cfg.k_tr
+            model.desired.fading,
+            [link.fading for link in model.interferers],
+            self.threshold,
+            cfg.k_tr,
         )
 
     def at(self, pt_db: float) -> OutageResult:
         """Outage probability at transmit power pt_db (dB over the noise floor)."""
         pt_linear = 10.0 ** (pt_db / 10.0)
-        desired, *interferers = [pt_linear * gain / loss for _, gain, loss in self._links]
+        desired, *interferers = [link.mean_power(pt_linear) for link in self._links]
         result = self._series.at(desired, interferers)
         return OutageResult(
             self.scheme, self.node, result.value, self.threshold, result.converged
@@ -331,40 +348,3 @@ class OutageCurve:
 def evaluate_outage(cfg: SystemConfig, scheme: Scheme, node: Node) -> OutageResult:
     """Closed-form outage of (scheme, node) at the transmit power cfg.p_t."""
     return OutageCurve(cfg, scheme, node).at(cfg.p_t)
-
-
-def _require_uav(node: Node) -> Node:
-    if node is Node.GS:
-        raise ValueError(f"downlink evaluation requires UAV2 or UAV3, got {node}")
-    return node
-
-
-def outage_fd_gs(cfg: SystemConfig) -> OutageResult:
-    """FD-NOMA outage at the ground station."""
-    return evaluate_outage(cfg, Scheme.FD_NOMA, Node.GS)
-
-
-def outage_fd_uav(cfg: SystemConfig, node: Node) -> OutageResult:
-    """FD-NOMA outage at a downlink UAV."""
-    return evaluate_outage(cfg, Scheme.FD_NOMA, _require_uav(node))
-
-
-def outage_hd_gs(cfg: SystemConfig) -> OutageResult:
-    """HD-NOMA outage at the ground station: no self-interference."""
-    return evaluate_outage(cfg, Scheme.HD_NOMA, Node.GS)
-
-
-def outage_hd_uav(cfg: SystemConfig, node: Node) -> OutageResult:
-    """HD-NOMA outage at a downlink UAV: no uplink interference, but the
-    NOMA split still applies through the effective threshold."""
-    return evaluate_outage(cfg, Scheme.HD_NOMA, _require_uav(node))
-
-
-def outage_oma_gs(cfg: SystemConfig) -> OutageResult:
-    """HD-OMA outage at the ground station: full rate, no interference."""
-    return evaluate_outage(cfg, Scheme.HD_OMA, Node.GS)
-
-
-def outage_oma_uav(cfg: SystemConfig, node: Node) -> OutageResult:
-    """HD-OMA outage at a downlink UAV."""
-    return evaluate_outage(cfg, Scheme.HD_OMA, _require_uav(node))

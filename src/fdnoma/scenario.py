@@ -105,6 +105,9 @@ class SweepSpec:
     mc: McSettings
 
     def __post_init__(self) -> None:
+        for name in ("pt_start_db", "pt_stop_db"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.pt_step_db > 0:
             raise ValueError(f"pt_step_db must be positive, got {self.pt_step_db}")
         if not self.pt_start_db <= self.pt_stop_db:

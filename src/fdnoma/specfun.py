@@ -5,12 +5,8 @@ Everything here is a pure function of its arguments.
 
 from __future__ import annotations
 
-import math
-
 __all__ = [
     "SeriesConvergenceError",
-    "log_gamma",
-    "pochhammer",
     "gauss_2f1",
 ]
 
@@ -31,23 +27,6 @@ class SeriesConvergenceError(ArithmeticError):
         super().__init__(message)
         self.partial_value = partial_value
         self.num_terms = num_terms
-
-
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0."""
-    if x <= 0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
-
-def pochhammer(a: float, i: int) -> float:
-    """Rising factorial a (a+1) ... (a+i-1); empty product is 1."""
-    if i < 0:
-        raise ValueError(f"pochhammer order must be non-negative, got {i}")
-    result = 1.0
-    for k in range(i):
-        result *= a + k
-    return result
 
 
 def _is_nonpositive_integer(x: float) -> bool:

@@ -1,7 +1,20 @@
-"""Shared test scaffolding: the reference suburban scenario."""
+"""Shared test scaffolding: the reference suburban scenario and the
+event-form equivalence check."""
 
-from fdnoma.channel import RicianShadowedParams
-from fdnoma.outage import FadingSet, NodeGeometry, SystemConfig
+import math
+
+import numpy as np
+
+from fdnoma.channel import RicianShadowedParams, sample_rician_shadowed
+from fdnoma.outage import (
+    FadingSet,
+    Node,
+    NodeGeometry,
+    Scheme,
+    SystemConfig,
+    noma_effective_threshold,
+    signal_model,
+)
 
 
 def unit_link(k: float, m: float) -> RicianShadowedParams:
@@ -43,3 +56,30 @@ def suburban(
         geometry=geometry,
         fading=fading,
     )
+
+
+def threshold_equivalence_check(
+    cfg: SystemConfig, node: Node, num_samples: int = 100_000, seed: int = 0
+) -> bool:
+    """Sample-wise check that the raw-SINR FD-NOMA outage event at a
+    downlink UAV and its effective-threshold form decide identically.
+
+    Requires a power split (a downlink node) and a finite effective
+    threshold; the two event forms are then algebraically the same, so any
+    disagreement indicates a modelling or numerical fault.  Returns True
+    iff zero samples disagree.
+    """
+    model = signal_model(cfg, Scheme.FD_NOMA, node)
+    if model.split is None:
+        raise ValueError(f"equivalence check requires a power split, got {node}")
+    alloc, residual = model.split
+    gamma_eff = noma_effective_threshold(model.gamma, alloc, residual)
+    if math.isinf(gamma_eff):
+        raise ValueError("equivalence check requires a finite effective threshold")
+    (uplink,) = model.interferers
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+    x = sample_rician_shadowed(model.desired.scaled(cfg.pt_linear), rng, num_samples)
+    y = sample_rician_shadowed(uplink.scaled(cfg.pt_linear), rng, num_samples)
+    direct = alloc * x / (residual * (1.0 - alloc) * x + y + 1.0) <= model.gamma
+    transformed = x / (y + 1.0) <= gamma_eff
+    return bool(np.all(direct == transformed))

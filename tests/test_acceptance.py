@@ -12,10 +12,10 @@ import os
 
 import numpy as np
 
-from conftest import suburban, unit_link
+from conftest import suburban, threshold_equivalence_check, unit_link
 from fdnoma.channel import RicianShadowedParams, rician_shadowed_moment, sample_rician_shadowed
 from fdnoma.cli import main
-from fdnoma.montecarlo import McSettings, mc_outage, mc_threshold_equivalence_check
+from fdnoma.montecarlo import McSettings, mc_outage
 from fdnoma.outage import (
     FadingSet,
     Node,
@@ -333,7 +333,7 @@ def test_criterion_9_event_form_equivalence():
         residual = cfg.beta if node is Node.UAV2 else 1.0
         if math.isinf(noma_effective_threshold(gamma, alloc, residual)):
             continue
-        if not mc_threshold_equivalence_check(cfg, node, 10**5, MC_SEED + attempts):
+        if not threshold_equivalence_check(cfg, node, 10**5, MC_SEED + attempts):
             disagreements.append(f"config #{attempts} ({node.value})")
         checked += 1
     ok = checked == 20 and not disagreements

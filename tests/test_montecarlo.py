@@ -5,13 +5,9 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import suburban
+from conftest import suburban, threshold_equivalence_check
 from fdnoma.channel import RicianShadowedParams, cdf_truncated
-from fdnoma.montecarlo import (
-    McSettings,
-    mc_outage,
-    mc_threshold_equivalence_check,
-)
+from fdnoma.montecarlo import McSettings, mc_outage
 from fdnoma.outage import Node, Scheme, evaluate_outage, rate_for, sinr_threshold
 
 FAST = McSettings(num_samples=200_000, seed=17)
@@ -115,20 +111,20 @@ def test_antithetic_estimate_agrees():
 
 def test_equivalence_check_reference_cases():
     cfg = suburban(pt_db=10.0)
-    assert mc_threshold_equivalence_check(cfg, Node.UAV3)
-    assert mc_threshold_equivalence_check(suburban(pt_db=10.0, beta=0.0), Node.UAV2)
-    assert mc_threshold_equivalence_check(cfg, Node.UAV2)
+    assert threshold_equivalence_check(cfg, Node.UAV3)
+    assert threshold_equivalence_check(suburban(pt_db=10.0, beta=0.0), Node.UAV2)
+    assert threshold_equivalence_check(cfg, Node.UAV2)
 
 
 def test_equivalence_check_requires_finite_threshold():
     cfg = suburban(r_oma=3.0)
     with pytest.raises(ValueError):
-        mc_threshold_equivalence_check(cfg, Node.UAV3)
+        threshold_equivalence_check(cfg, Node.UAV3)
 
 
 def test_equivalence_check_rejects_gs():
     with pytest.raises(ValueError):
-        mc_threshold_equivalence_check(suburban(), Node.GS)
+        threshold_equivalence_check(suburban(), Node.GS)
 
 
 def test_batch_boundary_sizes():

@@ -21,14 +21,9 @@ from fdnoma.outage import (
     SystemConfig,
     evaluate_outage,
     noma_effective_threshold,
-    outage_fd_gs,
-    outage_fd_uav,
-    outage_hd_gs,
-    outage_hd_uav,
-    outage_oma_gs,
-    outage_oma_uav,
     outage_series,
     rate_for,
+    signal_model,
     sinr_threshold,
 )
 
@@ -123,6 +118,29 @@ def test_series_single_interferer_matches_monte_carlo():
 # scheme evaluators
 # ---------------------------------------------------------------------------
 
+def test_signal_model_table():
+    # interferer count and power split per pair (alloc a_gs2 = 0.5, beta = 0.1)
+    cfg = suburban()
+    table = {}
+    for scheme, node in ALL_PAIRS:
+        model = signal_model(cfg, scheme, node)
+        table[scheme, node] = (len(model.interferers), model.split)
+    assert table == {
+        (Scheme.FD_NOMA, Node.GS): (2, None),
+        (Scheme.FD_NOMA, Node.UAV2): (1, (0.5, 0.1)),
+        (Scheme.FD_NOMA, Node.UAV3): (1, (0.5, 1.0)),
+        (Scheme.HD_NOMA, Node.GS): (0, None),
+        (Scheme.HD_NOMA, Node.UAV2): (0, (0.5, 0.1)),
+        (Scheme.HD_NOMA, Node.UAV3): (0, (0.5, 1.0)),
+        (Scheme.HD_OMA, Node.GS): (0, None),
+        (Scheme.HD_OMA, Node.UAV2): (0, None),
+        (Scheme.HD_OMA, Node.UAV3): (0, None),
+    }
+    # mean power pt_linear * gain / loss, loss = distance**pathloss_exp
+    assert signal_model(cfg, Scheme.HD_OMA, Node.GS).desired.mean_power(90.0) == 10.0
+    assert len(signal_model(suburban(epsilon=0.0), Scheme.FD_NOMA, Node.GS).interferers) == 1
+
+
 def test_zero_rate_never_outages():
     cfg = suburban(pt_db=10.0, r_oma=0.0)
     for scheme, node in ALL_PAIRS:
@@ -133,29 +151,19 @@ def test_zero_rate_never_outages():
 
 def test_result_metadata_fields():
     cfg = suburban(pt_db=10.0)
-    result = outage_fd_gs(cfg)
+    result = evaluate_outage(cfg, Scheme.FD_NOMA, Node.GS)
     assert result.scheme is Scheme.FD_NOMA and result.node is Node.GS
     assert result.threshold_used == pytest.approx(sinr_threshold(0.2 / 3.0), rel=1e-14)
     assert result.converged
-    u3 = outage_fd_uav(cfg, Node.UAV3)
+    u3 = evaluate_outage(cfg, Scheme.FD_NOMA, Node.UAV3)
     assert u3.threshold_used == pytest.approx(0.0992837851712387, rel=1e-10)
-
-
-def test_uav_dispatch_rejects_gs():
-    cfg = suburban()
-    with pytest.raises(ValueError):
-        outage_fd_uav(cfg, Node.GS)
-    with pytest.raises(ValueError):
-        outage_hd_uav(cfg, Node.GS)
-    with pytest.raises(ValueError):
-        outage_oma_uav(cfg, Node.GS)
 
 
 def test_infinite_threshold_guard_probability_one():
     # a_gs3 = 0.5 with a rate high enough that the split cannot carry it
     cfg = suburban(r_oma=3.0)
-    for builder, node in ((outage_hd_uav, Node.UAV3), (outage_fd_uav, Node.UAV3)):
-        result = builder(cfg, node)
+    for scheme in (Scheme.HD_NOMA, Scheme.FD_NOMA):
+        result = evaluate_outage(cfg, scheme, Node.UAV3)
         assert result.probability == 1.0
         assert math.isinf(result.threshold_used)
         assert result.converged
@@ -165,7 +173,7 @@ def test_fd_uav_degenerate_collapse_to_cdf():
     # nearly full allocation, perfect SIC, uplink interferer pushed away:
     # the UAV-2 outage collapses to the plain CDF at gamma / alloc
     cfg = suburban(pt_db=10.0, a_gs2=1.0 - 1e-12, beta=0.0, d_12=1e6)
-    result = outage_fd_uav(cfg, Node.UAV2)
+    result = evaluate_outage(cfg, Scheme.FD_NOMA, Node.UAV2)
     gamma = sinr_threshold(rate_for(Scheme.FD_NOMA, cfg.r_oma))
     desired = RicianShadowedParams(cfg.pt_linear / 4.0, 10.0, 3.0)
     want = cdf_truncated(desired, gamma / (1.0 - 1e-12), 25).value
@@ -188,7 +196,8 @@ def test_hd_and_oma_monotone_in_power():
 def test_hd_gs_never_exceeds_oma_gs():
     for pt in range(0, 65, 5):
         cfg = suburban(pt_db=float(pt))
-        assert outage_hd_gs(cfg).probability <= outage_oma_gs(cfg).probability + 1e-15
+        hd = evaluate_outage(cfg, Scheme.HD_NOMA, Node.GS).probability
+        assert hd <= evaluate_outage(cfg, Scheme.HD_OMA, Node.GS).probability + 1e-15
 
 
 @pytest.mark.parametrize(
@@ -278,6 +287,12 @@ def test_system_config_validation():
         suburban(beta=1.5)
     with pytest.raises(ValueError):
         suburban(epsilon=-0.1)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="epsilon"):
+            suburban(epsilon=bad)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="p_t"):
+            suburban(pt_db=bad)
     with pytest.raises(ValueError):
         suburban(k_tr=-1)
     with pytest.raises(ValueError):
@@ -295,8 +310,8 @@ def test_pt_conversion_and_si_ratio():
 
 def test_epsilon_zero_drops_estimation_error_term():
     cfg0 = suburban(pt_db=20.0, epsilon=0.0)
-    result = outage_fd_gs(cfg0)
+    result = evaluate_outage(cfg0, Scheme.FD_NOMA, Node.GS)
     assert 0.0 < result.probability < 1.0
     # shrinking epsilon continuously approaches the epsilon = 0 evaluation
     tiny = replace(suburban(pt_db=20.0), epsilon=1e-12)
-    assert outage_fd_gs(tiny).probability == pytest.approx(result.probability, rel=1e-6)
+    assert evaluate_outage(tiny, Scheme.FD_NOMA, Node.GS).probability == pytest.approx(result.probability, rel=1e-6)

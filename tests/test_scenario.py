@@ -22,8 +22,9 @@ from fdnoma.scenario import (
 )
 
 REFERENCE = os.path.join(os.path.dirname(__file__), "..", "configs", "reference.ini")
+DATA = os.path.join(os.path.dirname(__file__), "data")
 # `fdnoma sweep --config configs/reference.ini` output, kept byte for byte
-REFERENCE_CSV = os.path.join(os.path.dirname(__file__), "data", "reference_cf.csv")
+REFERENCE_CSV = os.path.join(DATA, "reference_cf.csv")
 
 MINIMAL = """
 [geometry]
@@ -62,6 +63,8 @@ def test_minimal_config_gets_defaults(tmp_path):
     assert cfg.fading.link_12.m == 3.0 and cfg.fading.link_13.m == 10.0
     assert not spec.with_mc
     assert spec.mc.num_samples == 1_000_000
+    # reference.ini repeats the library defaults beside its two distances
+    assert (cfg, spec) == load_config(REFERENCE)
 
 
 def test_missing_mandatory_distance(tmp_path):
@@ -104,6 +107,28 @@ def test_bad_number_and_bool(tmp_path):
         load_config(write(tmp_path, MINIMAL + "\n[system]\npt_db = fast\n"))
     with pytest.raises(ConfigError, match="with_mc"):
         load_config(write(tmp_path, MINIMAL + "\n[sweep]\nwith_mc = maybe\n", "b.ini"))
+
+
+@pytest.mark.parametrize(
+    "section,key,value,named",
+    [
+        ("system", "pt_db", "nan", "p_t"),
+        ("system", "pt_db", "inf", "p_t"),
+        ("system", "epsilon", "inf", "epsilon"),
+        ("sweep", "pt_start_db", "-inf", "pt_start_db"),
+        ("sweep", "pt_stop_db", "inf", "pt_stop_db"),
+        ("sweep", "pt_stop_db", "nan", "pt_stop_db"),
+    ],
+)
+def test_non_finite_values_rejected(tmp_path, capsys, section, key, value, named):
+    path = write(tmp_path, MINIMAL + f"\n[{section}]\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=named):
+        load_config(path)
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--config", path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+    assert not out.exists()
 
 
 def test_unknown_scheme_rejected(tmp_path):
@@ -168,6 +193,8 @@ def test_sweep_spec_validation():
         SweepSpec(0.0, 10.0, 0.0, tuple(Scheme), tuple(Node), False, McSettings(seed=1))
     with pytest.raises(ValueError):
         SweepSpec(0.0, 10.0, 5.0, (), tuple(Node), False, McSettings(seed=1))
+    with pytest.raises(ValueError, match="pt_stop_db"):
+        SweepSpec(0.0, math.inf, 5.0, tuple(Scheme), tuple(Node), False, McSettings(seed=1))
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +328,33 @@ def test_cli_reference_sweep_matches_golden_csv(tmp_path):
     assert main(["sweep", "--config", REFERENCE, "--out", str(out)]) == 0
     with open(REFERENCE_CSV, "rb") as handle:
         assert out.read_bytes() == handle.read()
+
+
+@pytest.mark.parametrize("antithetic", ["false", "true"])
+def test_cli_reference_mc_sweep_matches_golden_csv(tmp_path, antithetic):
+    # `fdnoma sweep --config configs/reference.ini --mc --samples 65536 --seed 7`,
+    # and the same with `antithetic = true`; pins the Monte Carlo draw order
+    with open(REFERENCE, encoding="utf-8") as handle:
+        text = handle.read()
+    line = "\nantithetic = false\n"
+    assert line in text
+    config = write(tmp_path, text.replace(line, f"\nantithetic = {antithetic}\n"))
+    golden = "reference_mc.csv" if antithetic == "false" else "reference_mc_antithetic.csv"
+    out = tmp_path / "reference_mc.csv"
+    args = ["--config", config, "--out", str(out), "--mc", "--samples", "65536", "--seed", "7"]
+    assert main(["sweep"] + args) == 0
+    with open(os.path.join(DATA, golden), "rb") as handle:
+        assert out.read_bytes() == handle.read()
+
+
+@pytest.mark.parametrize("pt", ["nan", "inf", "-inf"])
+def test_cli_point_rejects_non_finite_power(capsys, pt):
+    args = ["point", "--config", REFERENCE, "--scheme", "fd_noma", "--node", "gs"]
+    assert main(args + [f"--pt={pt}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "p_t must be finite" in captured.err
 
 
 def test_cli_arithmetic_error_exit_code(monkeypatch, capsys):
