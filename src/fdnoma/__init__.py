@@ -15,7 +15,7 @@ from .channel import (
     sample_exponential,
     sample_rician_shadowed,
 )
-from .montecarlo import McEstimate, McSettings, mc_outage
+from .montecarlo import McEstimate, McSettings, mc_outage, mc_outage_curve
 from .outage import (
     FadingSet,
     Node,

@@ -351,13 +351,17 @@ def sample_rician_shadowed(
     size: int | None = None,
     antithetic: bool = False,
 ):
-    """Draw Rician shadowed power samples X = |sqrt(G) e^{j theta} + c|^2.
+    """Draw Rician shadowed power samples X = (sqrt(G) + c_r)^2 + c_i^2.
 
     G ~ Gamma(shape m, scale Omega/m) with Omega = mean_power K/(1+K) is the
-    shadowed line-of-sight power, theta ~ U[0, 2 pi), and c is a circular
-    complex Gaussian with E|c|^2 = mean_power/(1+K).  With ``antithetic``
-    the second half of the batch reuses (G, theta) and mirrors the diffuse
-    component, giving negatively correlated pairs with the exact marginal.
+    shadowed line-of-sight power, and c_r, c_i are independent zero-mean
+    Gaussians of variance mean_power/(2(1+K)): the two quadratures of the
+    diffuse component.  The diffuse term is circularly symmetric, so
+    aligning the line-of-sight phasor with the real axis leaves the law of
+    |sqrt(G) e^{j theta} + c|^2 unchanged and needs no phase draw.  Draws
+    are taken in the order G (skipped when K = 0), c_r, c_i.  With
+    ``antithetic`` the second half of the batch reuses G and c_i and
+    negates c_r, (sqrt(G) - c_r)^2 + c_i^2, which keeps the exact marginal.
 
     Returns a scalar when size is None, else an ndarray of that length.
     """
@@ -365,20 +369,18 @@ def sample_rician_shadowed(
     n = 1 if size is None else size
     half = n // 2 if antithetic else n
     omega = p.mean_power * p.k_factor / (1.0 + p.k_factor)
-    diffuse_power = p.mean_power / (1.0 + p.k_factor)
+    scale = math.sqrt(p.mean_power / (1.0 + p.k_factor) / 2.0)
 
     if p.k_factor > 0:
         los_amp = np.sqrt(rng.gamma(p.m, omega / p.m, half))
     else:
         los_amp = np.zeros(half)
-    theta = rng.uniform(0.0, 2.0 * np.pi, half)
-    scale = math.sqrt(diffuse_power / 2.0)
-    c = rng.normal(0.0, scale, half) + 1j * rng.normal(0.0, scale, half)
-    los = los_amp * np.exp(1j * theta)
+    c_r = rng.normal(0.0, scale, half)
+    quad = np.square(rng.normal(0.0, scale, half))
 
-    x = np.abs(los + c) ** 2
+    x = np.square(los_amp + c_r) + quad
     if antithetic:
-        x = np.concatenate([x, np.abs(los - c) ** 2])
+        x = np.concatenate([x, np.square(los_amp - c_r) + quad])
     if size is None:
         return float(x[0])
     return x

@@ -7,22 +7,29 @@ allocation, residual-SIC and interference terms rather than through the
 effective threshold transform or any series algebra, so an agreement
 between this estimator and the closed-form series is evidence for both.
 
-Samples are drawn in fixed-size batches; each batch gets an independent
-substream derived from (seed, batch index), so an estimate depends only on
-(config, scheme, node, settings).
+Every link's mean power is linear in transmit power, so one draw of
+unit-mean fading serves a whole power grid: `mc_outage_curve` draws each
+batch once per (scheme, node) pair and scales it to every power point
+(common random numbers).  Each batch gets an independent substream derived
+from (seed, batch index), so an estimate depends only on (config, scheme,
+node, power, settings), not on the other points of the grid.  Points of
+one curve share their draws and are therefore correlated; each point's
+standard error is still valid on its own.  `mc_outage` is the one-point
+case, so a point estimate equals the matching curve point bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .channel import ExponentialParams, sample_exponential, sample_rician_shadowed
-from .outage import Node, Scheme, SystemConfig, signal_model
+from .outage import Node, Scheme, SignalModel, SystemConfig, signal_model
 
-__all__ = ["McSettings", "McEstimate", "mc_outage"]
+__all__ = ["McSettings", "McEstimate", "mc_outage", "mc_outage_curve"]
 
 _BATCH = 1 << 18
 _SEED_MASK = (1 << 64) - 1
@@ -70,43 +77,65 @@ def _draw(fading, rng, size: int, antithetic: bool) -> np.ndarray:
     return sample_rician_shadowed(fading, rng, size, antithetic)
 
 
-def _outage_indicator(
-    cfg: SystemConfig, scheme: Scheme, node: Node, rng, size: int, antithetic: bool
-) -> np.ndarray:
-    """One batch of outage event indicators from the raw signal model.
+def _outage_count(
+    model: SignalModel, unit: Sequence[np.ndarray], pt_linear: float
+) -> int:
+    """Outage events among one batch of unit-mean draws at one power.
 
-    Draws the desired link, then each interferer in model order, and forms
-    the SINR from the power split itself rather than through the effective
+    `unit` holds the desired link's draws, then each interferer's, in
+    model order.  Each is scaled to its mean power, and the SINR is formed
+    from the power split itself rather than through the effective
     threshold the closed form uses.
     """
-    model = signal_model(cfg, scheme, node)
-    x = _draw(model.desired.scaled(cfg.pt_linear), rng, size, antithetic)
-    y = 0.0
-    for link in model.interferers:
-        y = y + _draw(link.scaled(cfg.pt_linear), rng, size, antithetic)
+    links = (model.desired,) + model.interferers
+    x, *ys = [draw * link.mean_power(pt_linear) for draw, link in zip(unit, links)]
+    y = sum(ys, 0.0)
     if model.split is None:
         sinr = x / (y + 1.0)
     else:
         alloc, residual = model.split
         sinr = alloc * x / (residual * (1.0 - alloc) * x + y + 1.0)
-    return sinr <= model.gamma
+    return int(np.count_nonzero(sinr <= model.gamma))
+
+
+def _estimate(count: int, num_samples: int) -> McEstimate:
+    p = count / num_samples
+    return McEstimate(p, math.sqrt(p * (1.0 - p) / num_samples), num_samples)
+
+
+def mc_outage_curve(
+    cfg: SystemConfig,
+    scheme: Scheme,
+    node: Node,
+    pt_grid_db: Sequence[float],
+    mc: McSettings,
+) -> list[McEstimate]:
+    """Estimate the outage probability of (scheme, node) at every transmit
+    power of `pt_grid_db` (dB over the noise floor) by simulation.
+
+    Each batch draws the unit-mean fading of the desired link, then of
+    each interferer, once, and scales it to every power point, so the
+    cost of drawing does not grow with the grid.  Ties (SINR exactly at
+    threshold) count as outage, matching the event definition used by the
+    closed form; the event has probability zero under the continuous
+    fading model.  The transmit power `cfg.p_t` itself is not used.
+    """
+    model = signal_model(cfg, scheme, node)
+    links = (model.desired,) + model.interferers
+    powers = [10.0 ** (pt / 10.0) for pt in pt_grid_db]
+    counts = [0] * len(powers)
+    for index, size in _batch_sizes(mc.num_samples, mc.antithetic):
+        rng = _batch_rng(mc.seed, index)
+        unit = [_draw(link.fading, rng, size, mc.antithetic) for link in links]
+        for i, pt_linear in enumerate(powers):
+            counts[i] += _outage_count(model, unit, pt_linear)
+    return [_estimate(count, mc.num_samples) for count in counts]
 
 
 def mc_outage(
     cfg: SystemConfig, scheme: Scheme, node: Node, mc: McSettings
 ) -> McEstimate:
-    """Estimate the outage probability of (scheme, node) by simulation.
-
-    Ties (SINR exactly at threshold) count as outage, matching the event
-    definition used by the closed form; the event has probability zero
-    under the continuous fading model.
-    """
-    count = 0
-    for index, size in _batch_sizes(mc.num_samples, mc.antithetic):
-        rng = _batch_rng(mc.seed, index)
-        count += int(np.count_nonzero(
-            _outage_indicator(cfg, scheme, node, rng, size, mc.antithetic)
-        ))
-    p = count / mc.num_samples
-    se = math.sqrt(p * (1.0 - p) / mc.num_samples)
-    return McEstimate(p, se, mc.num_samples)
+    """Estimate the outage probability of (scheme, node) at the transmit
+    power cfg.p_t: the one-point case of `mc_outage_curve`."""
+    (estimate,) = mc_outage_curve(cfg, scheme, node, [cfg.p_t], mc)
+    return estimate

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from .channel import (
@@ -86,14 +86,17 @@ class NodeGeometry:
 
     def __post_init__(self) -> None:
         for name in ("d_1g", "d_g2", "d_g3", "d_12", "d_13"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"distance {name} must be positive")
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"distance {name} must be finite and positive, got {value}")
         if not self.d_g2 < self.d_g3:
             raise ValueError(
                 f"downlink ordering requires d_g2 < d_g3, got {self.d_g2} >= {self.d_g3}"
             )
-        if not self.pathloss_exp >= 1:
-            raise ValueError(f"pathloss_exp must be >= 1, got {self.pathloss_exp}")
+        if not (self.pathloss_exp >= 1 and math.isfinite(self.pathloss_exp)):
+            raise ValueError(
+                f"pathloss_exp must be finite and >= 1, got {self.pathloss_exp}"
+            )
 
 
 @dataclass(frozen=True)
@@ -135,8 +138,9 @@ class SystemConfig:
     fading: FadingSet
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.p_t):
-            raise ValueError(f"transmit power p_t must be finite, got {self.p_t}")
+        for name in ("p_t", "phase_noise_power", "noise_power"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0 < self.a_gs2 < 1:
             raise ValueError(f"power allocation a_gs2 must lie in (0, 1), got {self.a_gs2}")
         if not 0 <= self.beta <= 1:
@@ -249,10 +253,6 @@ class Link:
 
     def mean_power(self, pt_linear: float) -> float:
         return pt_linear * self.gain / self.loss
-
-    def scaled(self, pt_linear: float) -> RicianShadowedParams | ExponentialParams:
-        """The fading law with its mean power at transmit power pt_linear."""
-        return replace(self.fading, mean_power=self.mean_power(pt_linear))
 
 
 @dataclass(frozen=True)

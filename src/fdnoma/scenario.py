@@ -12,10 +12,10 @@ from __future__ import annotations
 import configparser
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .channel import RicianShadowedParams
-from .montecarlo import McEstimate, McSettings, mc_outage
+from .montecarlo import McSettings, mc_outage_curve
 from .outage import (
     FadingSet,
     Node,
@@ -302,11 +302,13 @@ def _evaluate_curve(
 def run_sweep(cfg: SystemConfig, spec: SweepSpec) -> SweepTable:
     """Evaluate every requested (scheme, node, transmit power) row.
 
-    Rows are sorted by (scheme, node, pt); Monte Carlo columns are present
-    iff the spec asks for them, with one independent substream per row.
-    The closed form of each pair is one `OutageCurve` over the power grid.
-    Evaluator errors mark the row failed (NaN, converged=False, `error`
-    set) without aborting the sweep.
+    Rows are sorted by (scheme, node, pt).  The closed form of each pair
+    is one `OutageCurve` over the power grid.  Monte Carlo columns are
+    present iff the spec asks for them; each pair's are one
+    `mc_outage_curve` with seed `spec.mc.seed`, whose (seed, batch)
+    substreams every row of the pair shares, so a row equals `mc_outage`
+    at its power.  Evaluator errors mark the row failed (NaN,
+    converged=False, `error` set) without aborting the sweep.
     """
     grid = spec.power_grid()
     combos = sorted(
@@ -314,18 +316,14 @@ def run_sweep(cfg: SystemConfig, spec: SweepSpec) -> SweepTable:
         key=lambda pair: (pair[0].value, pair[1].value),
     )
     rows: list[SweepRow] = []
-    row_index = 0
     for scheme, node in combos:
         closed = _evaluate_curve(cfg, scheme, node, grid)
-        for pt, (cf, converged, error) in zip(grid, closed):
-            estimate: McEstimate | None = None
-            if spec.with_mc:
-                estimate = mc_outage(
-                    replace(cfg, p_t=pt),
-                    scheme,
-                    node,
-                    replace(spec.mc, seed=spec.mc.seed + row_index),
-                )
+        simulated = (
+            mc_outage_curve(cfg, scheme, node, grid, spec.mc)
+            if spec.with_mc
+            else [None] * len(grid)
+        )
+        for pt, (cf, converged, error), estimate in zip(grid, closed, simulated):
             rows.append(
                 SweepRow(
                     scheme=scheme,
@@ -338,7 +336,6 @@ def run_sweep(cfg: SystemConfig, spec: SweepSpec) -> SweepTable:
                     error=error,
                 )
             )
-            row_index += 1
     return SweepTable(tuple(rows))
 
 

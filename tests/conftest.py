@@ -78,8 +78,10 @@ def threshold_equivalence_check(
         raise ValueError("equivalence check requires a finite effective threshold")
     (uplink,) = model.interferers
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
-    x = sample_rician_shadowed(model.desired.scaled(cfg.pt_linear), rng, num_samples)
-    y = sample_rician_shadowed(uplink.scaled(cfg.pt_linear), rng, num_samples)
+    x, y = (
+        sample_rician_shadowed(link.fading, rng, num_samples) * link.mean_power(cfg.pt_linear)
+        for link in (model.desired, uplink)
+    )
     direct = alloc * x / (residual * (1.0 - alloc) * x + y + 1.0) <= model.gamma
     transformed = x / (y + 1.0) <= gamma_eff
     return bool(np.all(direct == transformed))

@@ -335,6 +335,36 @@ def test_antithetic_sampling_preserves_marginal():
     assert abs(y.mean() - 2.0) < 0.02
 
 
+@pytest.mark.parametrize("m", [3.0, 10.0])
+def test_antithetic_rician_pairs_negate_the_in_phase_term(m):
+    pbar, k, n = 2.0, 10.0, 10**6
+    p = RicianShadowedParams(pbar, k, m)
+    x = sample_rician_shadowed(p, rng_for(13), n, antithetic=True)
+    first, mirrored = x[: n // 2], x[n // 2 :]
+    # replay the draws in their documented order: G, c_r, c_i
+    rng = rng_for(13)
+    omega, var = pbar * k / (1 + k), pbar / (1 + k) / 2
+    los = np.sqrt(rng.gamma(m, omega / m, n // 2))
+    c_r = rng.normal(0.0, math.sqrt(var), n // 2)
+    c_i = rng.normal(0.0, math.sqrt(var), n // 2)
+    np.testing.assert_allclose(first, (los + c_r) ** 2 + c_i**2, rtol=1e-12)
+    np.testing.assert_allclose(mirrored, (los - c_r) ** 2 + c_i**2, rtol=1e-12)
+    for half in (first, mirrored):
+        for order in (1, 2):
+            xs = half**order
+            se = xs.std() / math.sqrt(xs.size)
+            assert abs(xs.mean() - rician_shadowed_moment(p, order)) < 4 * se
+    # pair covariance Var(G + c_r^2 + c_i^2) - Var(2 sqrt(G) c_r)
+    cov = omega**2 / m + 4 * var**2 - 4 * omega * var
+    variance = rician_shadowed_moment(p, 2) - pbar**2
+    corr = np.corrcoef(first, mirrored)[0, 1]
+    assert abs(corr - cov / variance) < 0.01
+    if m == 10.0:
+        assert corr < -0.25  # light shadowing: the pairs are antithetic
+    else:
+        assert corr > 0.25  # heavy shadowing: Gamma variance dominates
+
+
 def test_antithetic_requires_even_size():
     p = RicianShadowedParams(1.0, 10.0, 3.0)
     with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ import pytest
 
 import fdnoma.cli
 from fdnoma.cli import main
-from fdnoma.montecarlo import McSettings
+from fdnoma.montecarlo import McSettings, mc_outage
 from fdnoma.outage import Node, OutageCurve, Scheme, evaluate_outage
 from fdnoma.specfun import SeriesConvergenceError
 from fdnoma.scenario import (
@@ -118,10 +118,17 @@ def test_bad_number_and_bool(tmp_path):
         ("sweep", "pt_start_db", "-inf", "pt_start_db"),
         ("sweep", "pt_stop_db", "inf", "pt_stop_db"),
         ("sweep", "pt_stop_db", "nan", "pt_stop_db"),
+        ("system", "phase_noise_dbm", "inf", "phase_noise_power"),
+        ("system", "phase_noise_dbm", "nan", "phase_noise_power"),
+        ("system", "noise_dbm", "inf", "noise_power"),
+        ("system", "noise_dbm", "nan", "noise_power"),
+        ("geometry", "d_1g", "inf", "d_1g"),
+        ("geometry", "pathloss_exp", "inf", "pathloss_exp"),
     ],
 )
 def test_non_finite_values_rejected(tmp_path, capsys, section, key, value, named):
-    path = write(tmp_path, MINIMAL + f"\n[{section}]\n{key} = {value}\n")
+    header = "" if section == "geometry" else f"\n[{section}]\n"  # MINIMAL ends in [geometry]
+    path = write(tmp_path, MINIMAL + f"{header}{key} = {value}\n")
     with pytest.raises(ConfigError, match=named):
         load_config(path)
     out = tmp_path / "x.csv"
@@ -184,6 +191,19 @@ def test_point_evaluation_equals_sweep_row_bit_for_bit():
         point = evaluate_outage(replace(cfg, p_t=row.pt_db), row.scheme, row.node)
         assert point.probability == row.outage_cf, row
         assert point.converged == row.converged, row
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_mc_point_equals_sweep_row_bit_for_bit(antithetic):
+    # the rows of `fdnoma sweep --config configs/reference.ini --mc
+    # --samples 65536 --seed 7`, plain and antithetic
+    cfg, spec = load_config(REFERENCE)
+    mc = McSettings(65536, 7, antithetic)
+    table = run_sweep(cfg, replace(spec, with_mc=True, mc=mc))
+    assert len(table.rows) == 117
+    for row in table.rows:
+        point = mc_outage(replace(cfg, p_t=row.pt_db), row.scheme, row.node, mc)
+        assert (point.probability, point.std_error) == (row.outage_mc, row.mc_se), row
 
 
 def test_sweep_spec_validation():
@@ -345,6 +365,21 @@ def test_cli_reference_mc_sweep_matches_golden_csv(tmp_path, antithetic):
     assert main(["sweep"] + args) == 0
     with open(os.path.join(DATA, golden), "rb") as handle:
         assert out.read_bytes() == handle.read()
+
+
+@pytest.mark.parametrize("golden", ["reference_mc.csv", "reference_mc_antithetic.csv"])
+def test_golden_mc_agrees_with_closed_form(golden):
+    # both oracles in one file: every Monte Carlo estimate within 5 SE of the
+    # closed form, the SE floored at one sample in 65536
+    with open(os.path.join(DATA, golden), encoding="utf-8") as handle:
+        header, *lines = handle.read().splitlines()
+    assert header == CSV_HEADER and len(lines) == 117
+    misses = []
+    for line in lines:
+        scheme, node, pt, cf, _, mc, se = line.split(",")
+        if abs(float(mc) - float(cf)) > 5 * max(float(se), 1 / 65536):
+            misses.append(line)
+    assert not misses, misses
 
 
 @pytest.mark.parametrize("pt", ["nan", "inf", "-inf"])
