@@ -8,9 +8,6 @@ from .channel import (
     ExponentialParams,
     RicianShadowedParams,
     TruncatedCdf,
-    cdf_series_coeff,
-    cdf_truncated,
-    exponential_moment,
     rician_shadowed_moment,
     sample_exponential,
     sample_rician_shadowed,
@@ -26,7 +23,6 @@ from .outage import (
     SystemConfig,
     evaluate_outage,
     noma_effective_threshold,
-    outage_series,
     rate_for,
     sinr_threshold,
 )

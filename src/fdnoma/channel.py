@@ -1,14 +1,16 @@
 """Rician shadowed and exponential power distributions.
 
-Moments, the truncated CDF series expansion, and exact sampling.  The
-squared-envelope power X of a Rician shadowed link is parameterised by its
-mean power, Rician K factor and shadowing severity m (Nakagami shape of the
-line-of-sight amplitude).  `mean_power` is the first moment of X; the
-moment formula and the sampler agree on that convention and the test suite
-pins it.
+Moments, the closed form's one series evaluator `TruncatedSeries` (the
+CDF expansion of a desired link against the moments of an interference
+sum), and exact sampling.  The squared-envelope power X of a Rician
+shadowed link is parameterised by its mean power, Rician K factor and
+shadowing severity m (Nakagami shape of the line-of-sight amplitude).
+`mean_power` is the first moment of X; the moment formula and the sampler
+agree on that convention and the test suite pins it.
 
-All functions are pure; samplers take an explicit numpy Generator so
-parallel callers can use independent seeded streams.
+All functions are pure; samplers take an explicit numpy Generator and a
+sample count, always return an ndarray, and keep a fixed draw order, so
+seeded streams reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -29,9 +31,6 @@ __all__ = [
     "TruncatedSeries",
     "MAX_MOMENT_ORDER",
     "rician_shadowed_moment",
-    "exponential_moment",
-    "cdf_series_coeff",
-    "cdf_truncated",
     "sample_rician_shadowed",
     "sample_exponential",
 ]
@@ -59,10 +58,12 @@ class RicianShadowedParams:
     def __post_init__(self) -> None:
         if not self.mean_power > 0:
             raise ValueError(f"mean_power must be positive, got {self.mean_power}")
-        if not self.k_factor >= 0:
-            raise ValueError(f"k_factor must be non-negative, got {self.k_factor}")
-        if not self.m > 0:
-            raise ValueError(f"shadowing severity m must be positive, got {self.m}")
+        if not (self.k_factor >= 0 and math.isfinite(self.k_factor)):
+            raise ValueError(f"k_factor must be finite and non-negative, got {self.k_factor}")
+        if not (self.m > 0 and math.isfinite(self.m)):
+            raise ValueError(
+                f"shadowing severity m must be finite and positive, got {self.m}"
+            )
 
 
 @dataclass(frozen=True)
@@ -103,24 +104,6 @@ def _log_moment_shape(p: RicianShadowedParams | ExponentialParams, order: int) -
     )
 
 
-def _log_moment(p: RicianShadowedParams | ExponentialParams, order: int) -> float:
-    """log E{X^order}, formed without leaving log space."""
-    return (
-        order * math.log(p.mean_power)
-        + math.lgamma(order + 1)
-        + _log_moment_shape(p, order)
-    )
-
-
-def _exp_moment(log_m: float, order: int) -> float:
-    if log_m > _LOG_HUGE:
-        raise OverflowError(
-            f"moment of order {order} overflows double precision "
-            f"(log value {log_m:.1f})"
-        )
-    return math.exp(log_m)
-
-
 def rician_shadowed_moment(p: RicianShadowedParams, order: int) -> float:
     """E{X^order} of a Rician shadowed power variable.
 
@@ -135,14 +118,17 @@ def rician_shadowed_moment(p: RicianShadowedParams, order: int) -> float:
         raise ValueError(
             f"moment order {order} exceeds supported maximum {MAX_MOMENT_ORDER}"
         )
-    return _exp_moment(_log_moment(p, order), order)
-
-
-def exponential_moment(p: ExponentialParams, order: int) -> float:
-    """E{Y^order} = mean^order * order! for exponential Y."""
-    if order < 0:
-        raise ValueError(f"moment order must be non-negative, got {order}")
-    return _exp_moment(_log_moment(p, order), order)
+    log_m = (
+        order * math.log(p.mean_power)
+        + math.lgamma(order + 1)
+        + _log_moment_shape(p, order)
+    )
+    if log_m > _LOG_HUGE:
+        raise OverflowError(
+            f"moment of order {order} overflows double precision "
+            f"(log value {log_m:.1f})"
+        )
+    return math.exp(log_m)
 
 
 def _alpha_shape_sums(k: float, m: float, k_tr: int) -> list[tuple[float, float]]:
@@ -300,24 +286,6 @@ class TruncatedSeries:
         return TruncatedCdf(min(max(total, 0.0), 1.0), converged)
 
 
-def cdf_series_coeff(n: int, p: RicianShadowedParams, gamma: float) -> float:
-    """Order-n coefficient alpha(n) of the truncated CDF expansion.
-
-    alpha(n) = sum_{i=0}^{n} (-1)^(n-i) (m/(K+m))^m (m)_i / Gamma(i+1)^2
-               * (K/(K+m))^i ((1+K)/P)^(n+1) gamma^(n+1) / ((n-i)! (n+1))
-
-    May be negative for n >= 1 (the expansion alternates).  gamma = 0
-    yields exactly 0.
-    """
-    if n < 0:
-        raise ValueError(f"series order must be non-negative, got {n}")
-    if not gamma >= 0 or math.isinf(gamma):
-        raise ValueError(f"threshold must be finite and non-negative, got {gamma}")
-    if gamma == 0.0:
-        return 0.0
-    return _signed_exp(*TruncatedSeries(p, (), gamma, n)._log_terms(p.mean_power, ())[n])
-
-
 def _diverging(magnitudes: list[float]) -> bool:
     """True when |term| grew _GROWTH_RUN consecutive orders past burn-in."""
     run = 0
@@ -331,27 +299,10 @@ def _diverging(magnitudes: list[float]) -> bool:
     return False
 
 
-def cdf_truncated(p: RicianShadowedParams, gamma: float, k_tr: int) -> TruncatedCdf:
-    """P(X <= gamma) from the first k_tr + 1 series coefficients: the
-    interference-free case of `TruncatedSeries`."""
-    return TruncatedSeries(p, (), gamma, k_tr).at(p.mean_power, ())
-
-
-def _check_size(size: int | None, antithetic: bool) -> None:
-    if size is not None and size < 0:
-        raise ValueError(f"size must be non-negative, got {size}")
-    if antithetic:
-        if size is None or size % 2 != 0:
-            raise ValueError("antithetic sampling requires an even sample count")
-
-
 def sample_rician_shadowed(
-    p: RicianShadowedParams,
-    rng: np.random.Generator,
-    size: int | None = None,
-    antithetic: bool = False,
-):
-    """Draw Rician shadowed power samples X = (sqrt(G) + c_r)^2 + c_i^2.
+    p: RicianShadowedParams, rng: np.random.Generator, size: int
+) -> np.ndarray:
+    """Draw `size` Rician shadowed power samples X = (sqrt(G) + c_r)^2 + c_i^2.
 
     G ~ Gamma(shape m, scale Omega/m) with Omega = mean_power K/(1+K) is the
     shadowed line-of-sight power, and c_r, c_i are independent zero-mean
@@ -359,53 +310,22 @@ def sample_rician_shadowed(
     diffuse component.  The diffuse term is circularly symmetric, so
     aligning the line-of-sight phasor with the real axis leaves the law of
     |sqrt(G) e^{j theta} + c|^2 unchanged and needs no phase draw.  Draws
-    are taken in the order G (skipped when K = 0), c_r, c_i.  With
-    ``antithetic`` the second half of the batch reuses G and c_i and
-    negates c_r, (sqrt(G) - c_r)^2 + c_i^2, which keeps the exact marginal.
-
-    Returns a scalar when size is None, else an ndarray of that length.
+    are taken in the order G (skipped when K = 0), c_r, c_i.
     """
-    _check_size(size, antithetic)
-    n = 1 if size is None else size
-    half = n // 2 if antithetic else n
     omega = p.mean_power * p.k_factor / (1.0 + p.k_factor)
     scale = math.sqrt(p.mean_power / (1.0 + p.k_factor) / 2.0)
 
     if p.k_factor > 0:
-        los_amp = np.sqrt(rng.gamma(p.m, omega / p.m, half))
+        los_amp = np.sqrt(rng.gamma(p.m, omega / p.m, size))
     else:
-        los_amp = np.zeros(half)
-    c_r = rng.normal(0.0, scale, half)
-    quad = np.square(rng.normal(0.0, scale, half))
-
-    x = np.square(los_amp + c_r) + quad
-    if antithetic:
-        x = np.concatenate([x, np.square(los_amp - c_r) + quad])
-    if size is None:
-        return float(x[0])
-    return x
+        los_amp = np.zeros(size)
+    c_r = rng.normal(0.0, scale, size)
+    c_i = rng.normal(0.0, scale, size)
+    return np.square(los_amp + c_r) + np.square(c_i)
 
 
 def sample_exponential(
-    p: ExponentialParams,
-    rng: np.random.Generator,
-    size: int | None = None,
-    antithetic: bool = False,
-):
-    """Draw exponential power samples with the given mean.
-
-    Antithetic batches pair -mean ln(u) with -mean ln(1-u).
-    """
-    _check_size(size, antithetic)
-    n = 1 if size is None else size
-    if antithetic:
-        # open interval keeps both log branches finite
-        u = rng.uniform(np.nextafter(0.0, 1.0), 1.0, n // 2)
-        y = np.concatenate(
-            [-p.mean_power * np.log1p(-u), -p.mean_power * np.log(u)]
-        )
-    else:
-        y = rng.exponential(p.mean_power, n)
-    if size is None:
-        return float(y[0])
-    return y
+    p: ExponentialParams, rng: np.random.Generator, size: int
+) -> np.ndarray:
+    """Draw `size` exponential power samples with the given mean."""
+    return rng.exponential(p.mean_power, size)

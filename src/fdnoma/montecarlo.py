@@ -12,10 +12,12 @@ unit-mean fading serves a whole power grid: `mc_outage_curve` draws each
 batch once per (scheme, node) pair and scales it to every power point
 (common random numbers).  Each batch gets an independent substream derived
 from (seed, batch index), so an estimate depends only on (config, scheme,
-node, power, settings), not on the other points of the grid.  Points of
-one curve share their draws and are therefore correlated; each point's
-standard error is still valid on its own.  `mc_outage` is the one-point
-case, so a point estimate equals the matching curve point bit for bit.
+node, power, settings), not on the other points of the grid.  Samples
+within a point are independent, so its standard error is the binomial
+sqrt(p (1 - p) / n).  Points of one curve share their draws and are
+therefore correlated; each point's standard error is still valid on its
+own.  `mc_outage` is the one-point case, so a point estimate equals the
+matching curve point bit for bit.
 """
 
 from __future__ import annotations
@@ -39,13 +41,10 @@ _SEED_MASK = (1 << 64) - 1
 class McSettings:
     num_samples: int = 1_000_000
     seed: int = 0
-    antithetic: bool = False
 
     def __post_init__(self) -> None:
         if self.num_samples < 1_000:
             raise ValueError(f"num_samples must be >= 1000, got {self.num_samples}")
-        if self.antithetic and self.num_samples % 2 != 0:
-            raise ValueError("antithetic sampling requires an even num_samples")
 
 
 @dataclass(frozen=True)
@@ -59,22 +58,10 @@ def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed & _SEED_MASK, batch_index]))
 
 
-def _batch_sizes(num_samples: int, antithetic: bool):
-    offset = 0
-    index = 0
-    while offset < num_samples:
-        size = min(_BATCH, num_samples - offset)
-        if antithetic and size % 2 != 0:
-            raise AssertionError("batching broke antithetic pairing")
-        yield index, size
-        offset += size
-        index += 1
-
-
-def _draw(fading, rng, size: int, antithetic: bool) -> np.ndarray:
+def _draw(fading, rng, size: int) -> np.ndarray:
     if isinstance(fading, ExponentialParams):
-        return sample_exponential(fading, rng, size, antithetic)
-    return sample_rician_shadowed(fading, rng, size, antithetic)
+        return sample_exponential(fading, rng, size)
+    return sample_rician_shadowed(fading, rng, size)
 
 
 def _outage_count(
@@ -124,9 +111,10 @@ def mc_outage_curve(
     links = (model.desired,) + model.interferers
     powers = [10.0 ** (pt / 10.0) for pt in pt_grid_db]
     counts = [0] * len(powers)
-    for index, size in _batch_sizes(mc.num_samples, mc.antithetic):
+    for index, start in enumerate(range(0, mc.num_samples, _BATCH)):
         rng = _batch_rng(mc.seed, index)
-        unit = [_draw(link.fading, rng, size, mc.antithetic) for link in links]
+        size = min(_BATCH, mc.num_samples - start)
+        unit = [_draw(link.fading, rng, size) for link in links]
         for i, pt_linear in enumerate(powers):
             counts[i] += _outage_count(model, unit, pt_linear)
     return [_estimate(count, mc.num_samples) for count in counts]

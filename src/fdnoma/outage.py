@@ -6,9 +6,10 @@ and half-duplex OMA.  Rates are tied to a common base rate so the schemes
 are compared fairly: the FD rate is a third of the OMA rate and the HD-NOMA
 rate is half of it.
 
-The generic evaluator expands the outage probability
+The closed form expands the outage probability
 P(X0 <= gamma (1 + sum_i X_i)) into a truncated series over CDF expansion
-coefficients of the desired link and moments of the interference sum.
+coefficients of the desired link and moments of the interference sum
+(`channel.TruncatedSeries`, its one evaluator).
 Each (scheme, node) pair is described once, by `signal_model`, which the
 Monte Carlo oracle reads too, and evaluated as one `OutageCurve` over
 transmit power.  The closed form folds the power-domain NOMA interference
@@ -29,13 +30,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from .channel import (
     MAX_MOMENT_ORDER,
     ExponentialParams,
     RicianShadowedParams,
-    TruncatedCdf,
     TruncatedSeries,
 )
 
@@ -53,7 +52,6 @@ __all__ = [
     "sinr_threshold",
     "noma_effective_threshold",
     "signal_model",
-    "outage_series",
     "evaluate_outage",
 ]
 
@@ -215,27 +213,6 @@ def noma_effective_threshold(gamma: float, alloc: float, residual: float) -> flo
     if denom <= 0:
         return math.inf
     return gamma / denom
-
-
-def outage_series(
-    desired: RicianShadowedParams,
-    interferers: Sequence[RicianShadowedParams | ExponentialParams],
-    gamma: float,
-    k_tr: int,
-) -> TruncatedCdf:
-    """Truncated series for P(X0 <= gamma (1 + sum_j Y_j)).
-
-    `interferers` holds the independent interference powers Y_j, each a
-    Rician shadowed or exponential law with its mean power.  Order n of
-    the series combines the CDF expansion coefficient of the desired link
-    with E{(1 + sum_j Y_j)^(n+1)}; see `TruncatedSeries`, whose one-point
-    case this is.
-
-    The sum is clamped to [0, 1]; an infinite threshold short-circuits to
-    certain outage.
-    """
-    series = TruncatedSeries(desired, interferers, gamma, k_tr)
-    return series.at(desired.mean_power, [q.mean_power for q in interferers])
 
 
 @dataclass(frozen=True)

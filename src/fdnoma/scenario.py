@@ -83,11 +83,13 @@ _DEFAULTS: dict[str, dict[str, str]] = {
         "with_mc": "false",
         "mc_samples": "1000000",
         "mc_seed": str(DEFAULT_MC_SEED),
-        "antithetic": "false",
     },
 }
 
 _MANDATORY = (("geometry", "d_12"), ("geometry", "d_13"))
+
+# A retired key that older configs still set; only its old default loads.
+_RETIRED = ("sweep", "antithetic")
 
 
 class ConfigError(ValueError):
@@ -147,6 +149,13 @@ def _merge_defaults(parser: configparser.ConfigParser) -> dict[str, dict[str, st
         if section not in merged:
             raise ConfigError(f"unknown config section [{section}]")
         for key, value in parser.items(section):
+            if (section, key) == _RETIRED:
+                if _get_bool({key: value}, section, key):
+                    raise ConfigError(
+                        f"{section}.{key} = {value.strip()} is no longer supported: "
+                        "antithetic sampling was removed; delete the key"
+                    )
+                continue
             if key not in merged[section] and (section, key) not in _MANDATORY:
                 raise ConfigError(f"unknown config key {section}.{key}")
             merged[section][key] = value
@@ -187,7 +196,8 @@ def load_config(path: str) -> tuple[SystemConfig, SweepSpec]:
 
     Unknown sections or keys are rejected; omitted optional keys take the
     reference-scenario defaults; the inter-UAV distances d_12 and d_13 are
-    mandatory.  Raises ConfigError with the offending key or invariant.
+    mandatory.  A retired key is accepted only at its old default value.
+    Raises ConfigError with the offending key or invariant.
     """
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
@@ -250,7 +260,6 @@ def load_config(path: str) -> tuple[SystemConfig, SweepSpec]:
             mc=McSettings(
                 num_samples=_get_int(sweep_raw, "sweep", "mc_samples"),
                 seed=_get_int(sweep_raw, "sweep", "mc_seed"),
-                antithetic=_get_bool(sweep_raw, "sweep", "antithetic"),
             ),
         )
     except ConfigError:

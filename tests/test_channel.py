@@ -9,10 +9,8 @@ from scipy import stats
 from fdnoma.channel import (
     ExponentialParams,
     RicianShadowedParams,
+    TruncatedCdf,
     TruncatedSeries,
-    cdf_series_coeff,
-    cdf_truncated,
-    exponential_moment,
     rician_shadowed_moment,
     sample_exponential,
     sample_rician_shadowed,
@@ -81,10 +79,11 @@ def test_moment_order_limits():
 
 
 def test_exponential_moments():
+    # E{(1 + Y)^k} for exponential Y of mean 1/2, with E{Y^l} = l!/2^l
     p = ExponentialParams(0.5)
-    assert exponential_moment(p, 0) == 1.0
-    assert exponential_moment(p, 1) == pytest.approx(0.5, rel=1e-14)
-    assert exponential_moment(p, 3) == pytest.approx(0.75, rel=1e-14)
+    series = TruncatedSeries(RicianShadowedParams(1.0, 10.0, 10.0), [p], 0.1, 2)
+    log_moments = series._log_power_moments([p.mean_power])
+    assert [math.exp(x) for x in log_moments] == pytest.approx([1.5, 2.5, 4.75], rel=1e-14)
 
 
 def test_exponential_moment_mc_cross_check():
@@ -102,6 +101,10 @@ def test_param_validation():
         RicianShadowedParams(1.0, -0.1, 10.0)
     with pytest.raises(ValueError):
         RicianShadowedParams(1.0, 10.0, 0.0)
+    with pytest.raises(ValueError, match="k_factor"):
+        RicianShadowedParams(1.0, math.inf, 10.0)
+    with pytest.raises(ValueError, match="severity m"):
+        RicianShadowedParams(1.0, 10.0, math.inf)
     with pytest.raises(ValueError):
         ExponentialParams(0.0)
 
@@ -110,37 +113,49 @@ def test_param_validation():
 # CDF expansion coefficients
 # ---------------------------------------------------------------------------
 
+def alpha(n, p, gamma):
+    """Coefficient alpha(n): the interference-free series truncated at order
+    n minus the same series truncated at order n - 1."""
+
+    def truncated(k_tr):
+        if k_tr < 0:
+            return 0.0
+        return TruncatedSeries(p, (), gamma, k_tr).at(p.mean_power, ()).value
+
+    return truncated(n) - truncated(n - 1)
+
+
 def test_alpha_order_zero_hand_value():
     # single-term expansion: (m/(K+m))^m (1+K)/P gamma = (1/2)^10 * 11
     p = RicianShadowedParams(1.0, 10.0, 10.0)
-    assert cdf_series_coeff(0, p, 1.0) == pytest.approx(11.0 / 1024.0, rel=1e-12)
+    assert alpha(0, p, 1.0) == pytest.approx(11.0 / 1024.0, rel=1e-12)
 
 
 def test_alpha_zero_threshold():
     p = RicianShadowedParams(1.0, 10.0, 10.0)
     for n in (0, 1, 5, 20):
-        assert cdf_series_coeff(n, p, 0.0) == 0.0
+        assert alpha(n, p, 0.0) == 0.0
 
 
 def test_alpha_rejects_nonfinite_threshold():
+    # +inf is the certain-outage threshold (test_outage::test_series_trivial_thresholds)
     p = RicianShadowedParams(1.0, 10.0, 10.0)
-    with pytest.raises(ValueError):
-        cdf_series_coeff(1, p, math.inf)
-    with pytest.raises(ValueError):
-        cdf_series_coeff(1, p, math.nan)
+    for gamma in (math.nan, -math.inf):
+        with pytest.raises(ValueError):
+            TruncatedSeries(p, (), gamma, 1)
 
 
 def test_alpha_against_extended_precision_brute_force():
     # frozen from a 50-digit term-by-term evaluation of the alternating sum
     p = RicianShadowedParams(1.0, 10.0, 10.0)
-    assert cdf_series_coeff(1, p, 0.1) == pytest.approx(0.0023632812500000002624, rel=1e-11)
-    assert cdf_series_coeff(2, p, 0.1) == pytest.approx(0.0010290120442708335047, rel=1e-11)
+    assert alpha(1, p, 0.1) == pytest.approx(0.0023632812500000002624, rel=1e-11)
+    assert alpha(2, p, 0.1) == pytest.approx(0.0010290120442708335047, rel=1e-11)
 
 
 def test_alpha_signs_alternate_eventually():
     # the expansion is alternating once the threshold term dominates
     p = RicianShadowedParams(1.0, 10.0, 10.0)
-    coeffs = [cdf_series_coeff(n, p, 0.05) for n in range(6)]
+    coeffs = [alpha(n, p, 0.05) for n in range(6)]
     assert coeffs[0] > 0
     assert any(c < 0 for c in coeffs[1:])
 
@@ -151,23 +166,37 @@ def test_alpha_signs_alternate_eventually():
 
 def test_cdf_truncated_zero_threshold():
     p = RicianShadowedParams(1.0, 10.0, 10.0)
-    result = cdf_truncated(p, 0.0, 25)
-    assert result.value == 0.0 and result.converged
+    result = TruncatedSeries(p, (), 0.0, 25).at(p.mean_power, ())
+    assert result == TruncatedCdf(0.0, True)
 
 
 def test_cdf_matches_coefficient_sum():
-    p = RicianShadowedParams(1.0, 10.0, 3.0)
-    gamma = 0.3
-    direct = math.fsum(cdf_series_coeff(n, p, gamma) for n in range(26))
-    assert cdf_truncated(p, gamma, 25).value == pytest.approx(direct, rel=1e-12)
+    # the closed-form coefficient formula summed term by term in double
+    # precision:
+    # alpha(n) = sum_{i=0}^{n} (-1)^(n-i) (m/(K+m))^m (m)_i / i!^2
+    #            * (K/(K+m))^i ((1+K)/P)^(n+1) gamma^(n+1) / ((n-i)! (n+1))
+    pbar, k, m, gamma = 1.0, 10.0, 3.0, 0.3
+    terms = []
+    for n in range(26):
+        for i in range(n + 1):
+            terms.append(
+                (-1) ** (n - i)
+                * (m / (k + m)) ** m
+                * math.gamma(m + i) / math.gamma(m) / math.factorial(i) ** 2
+                * (k / (k + m)) ** i
+                * ((1 + k) / pbar * gamma) ** (n + 1)
+                / (math.factorial(n - i) * (n + 1))
+            )
+    series = TruncatedSeries(RicianShadowedParams(pbar, k, m), (), gamma, 25)
+    assert series.at(pbar, ()).value == pytest.approx(math.fsum(terms), rel=1e-12)
 
 
 @pytest.mark.parametrize("m", [3.0, 10.0])
 def test_cdf_truncation_stability_unit_power(m):
     p = RicianShadowedParams(1.0, 10.0, m)
     for gamma in (0.05, 0.1, 0.2, 0.35, 0.5):
-        a = cdf_truncated(p, gamma, 25)
-        b = cdf_truncated(p, gamma, 30)
+        a = TruncatedSeries(p, (), gamma, 25).at(p.mean_power, ())
+        b = TruncatedSeries(p, (), gamma, 30).at(p.mean_power, ())
         assert a.converged and b.converged
         assert abs(a.value - b.value) < 1e-8
 
@@ -180,20 +209,21 @@ def test_cdf_matches_empirical(m, gamma):
     x = sample_rician_shadowed(p, rng_for(404), 10**6)
     emp = float(np.mean(x <= gamma))
     se = math.sqrt(max(emp * (1 - emp), 1e-12) / x.size)
-    assert abs(cdf_truncated(p, gamma, 25).value - emp) < 3 * se
+    closed = TruncatedSeries(p, (), gamma, 25).at(p.mean_power, ())
+    assert abs(closed.value - emp) < 3 * se
 
 
 def test_cdf_monotone_in_threshold():
     p = RicianShadowedParams(1.0, 10.0, 10.0)
     grid = np.linspace(0.0, 0.6, 40)
-    values = [cdf_truncated(p, g, 25).value for g in grid]
+    values = [TruncatedSeries(p, (), g, 25).at(p.mean_power, ()).value for g in grid]
     assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
 
 
 def test_cdf_flags_divergence_far_outside_range():
     # threshold far beyond the expansion's reach: clamped and flagged
     p = RicianShadowedParams(0.05, 10.0, 10.0)
-    result = cdf_truncated(p, 50.0, 25)
+    result = TruncatedSeries(p, (), 50.0, 25).at(p.mean_power, ())
     assert 0.0 <= result.value <= 1.0
     assert not result.converged
 
@@ -201,9 +231,9 @@ def test_cdf_flags_divergence_far_outside_range():
 def test_cdf_domain():
     p = RicianShadowedParams(1.0, 10.0, 10.0)
     with pytest.raises(ValueError):
-        cdf_truncated(p, -0.1, 25)
+        TruncatedSeries(p, (), -0.1, 25)
     with pytest.raises(ValueError):
-        cdf_truncated(p, 0.1, -1)
+        TruncatedSeries(p, (), 0.1, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +260,7 @@ def brute_force_power_moment(interferers, k):
             term /= math.factorial(part)
         for q, part in zip(interferers, parts[1:]):
             if isinstance(q, ExponentialParams):
-                term *= exponential_moment(q, part)
+                term *= q.mean_power**part * math.factorial(part)
             else:
                 term *= rician_shadowed_moment(q, part)
         total.append(term)
@@ -307,14 +337,16 @@ def test_sampler_large_m_approaches_rician():
     assert ks.statistic < 0.01
 
 
-def test_sampler_scalar_and_determinism():
+def test_sampler_determinism():
     p = RicianShadowedParams(1.0, 10.0, 10.0)
-    a = sample_rician_shadowed(p, rng_for(5))
-    b = sample_rician_shadowed(p, rng_for(5))
-    assert isinstance(a, float) and a == b
     xa = sample_rician_shadowed(p, rng_for(6), 1000)
     xb = sample_rician_shadowed(p, rng_for(6), 1000)
     assert np.array_equal(xa, xb)
+    # one draw is an array of length one, never a scalar
+    assert sample_rician_shadowed(p, rng_for(5), 1).shape == (1,)
+    assert sample_exponential(ExponentialParams(1.0), rng_for(5), 1).shape == (1,)
+    with pytest.raises(ValueError):
+        sample_rician_shadowed(p, rng_for(5), -1)
 
 
 def test_exponential_sampler_mean_and_tail():
@@ -324,50 +356,3 @@ def test_exponential_sampler_mean_and_tail():
     p2 = ExponentialParams(0.1)
     y2 = sample_exponential(p2, rng_for(8), 10**6)
     assert abs(np.mean(y2 > 0.1) - math.exp(-1)) < 0.005
-
-
-def test_antithetic_sampling_preserves_marginal():
-    p = RicianShadowedParams(1.0, 10.0, 3.0)
-    x = sample_rician_shadowed(p, rng_for(9), 10**6, antithetic=True)
-    assert abs(x.mean() - 1.0) < 0.01
-    e = ExponentialParams(2.0)
-    y = sample_exponential(e, rng_for(10), 10**6, antithetic=True)
-    assert abs(y.mean() - 2.0) < 0.02
-
-
-@pytest.mark.parametrize("m", [3.0, 10.0])
-def test_antithetic_rician_pairs_negate_the_in_phase_term(m):
-    pbar, k, n = 2.0, 10.0, 10**6
-    p = RicianShadowedParams(pbar, k, m)
-    x = sample_rician_shadowed(p, rng_for(13), n, antithetic=True)
-    first, mirrored = x[: n // 2], x[n // 2 :]
-    # replay the draws in their documented order: G, c_r, c_i
-    rng = rng_for(13)
-    omega, var = pbar * k / (1 + k), pbar / (1 + k) / 2
-    los = np.sqrt(rng.gamma(m, omega / m, n // 2))
-    c_r = rng.normal(0.0, math.sqrt(var), n // 2)
-    c_i = rng.normal(0.0, math.sqrt(var), n // 2)
-    np.testing.assert_allclose(first, (los + c_r) ** 2 + c_i**2, rtol=1e-12)
-    np.testing.assert_allclose(mirrored, (los - c_r) ** 2 + c_i**2, rtol=1e-12)
-    for half in (first, mirrored):
-        for order in (1, 2):
-            xs = half**order
-            se = xs.std() / math.sqrt(xs.size)
-            assert abs(xs.mean() - rician_shadowed_moment(p, order)) < 4 * se
-    # pair covariance Var(G + c_r^2 + c_i^2) - Var(2 sqrt(G) c_r)
-    cov = omega**2 / m + 4 * var**2 - 4 * omega * var
-    variance = rician_shadowed_moment(p, 2) - pbar**2
-    corr = np.corrcoef(first, mirrored)[0, 1]
-    assert abs(corr - cov / variance) < 0.01
-    if m == 10.0:
-        assert corr < -0.25  # light shadowing: the pairs are antithetic
-    else:
-        assert corr > 0.25  # heavy shadowing: Gamma variance dominates
-
-
-def test_antithetic_requires_even_size():
-    p = RicianShadowedParams(1.0, 10.0, 3.0)
-    with pytest.raises(ValueError):
-        sample_rician_shadowed(p, rng_for(11), 101, antithetic=True)
-    with pytest.raises(ValueError):
-        sample_exponential(ExponentialParams(1.0), rng_for(12), None, antithetic=True)

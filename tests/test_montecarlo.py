@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from conftest import suburban, threshold_equivalence_check
-from fdnoma.channel import RicianShadowedParams, cdf_truncated
+from fdnoma.channel import RicianShadowedParams, TruncatedSeries
 from fdnoma.montecarlo import McSettings, mc_outage
 from fdnoma.outage import Node, Scheme, evaluate_outage, rate_for, sinr_threshold
 
@@ -16,9 +16,7 @@ FAST = McSettings(num_samples=200_000, seed=17)
 def test_settings_validation():
     with pytest.raises(ValueError):
         McSettings(num_samples=999)
-    with pytest.raises(ValueError):
-        McSettings(num_samples=100_001, antithetic=True)
-    McSettings(num_samples=100_000, antithetic=True)
+    McSettings(num_samples=1000)
 
 
 def test_zero_rate_outage_is_exactly_zero():
@@ -71,7 +69,7 @@ def test_degenerate_uav2_matches_plain_cdf():
     est = mc_outage(cfg, Scheme.FD_NOMA, Node.UAV2, FAST)
     gamma = sinr_threshold(rate_for(Scheme.FD_NOMA, cfg.r_oma))
     desired = RicianShadowedParams(cfg.pt_linear / 4.0, 10.0, 3.0)
-    want = cdf_truncated(desired, gamma, 25).value
+    want = TruncatedSeries(desired, (), gamma, 25).at(desired.mean_power, ()).value
     assert abs(est.probability - want) < 3 * est.std_error
 
 
@@ -98,15 +96,6 @@ def test_infinite_effective_threshold_gives_probability_one():
     for scheme in (Scheme.FD_NOMA, Scheme.HD_NOMA):
         est = mc_outage(cfg, scheme, Node.UAV3, McSettings(num_samples=10_000, seed=8))
         assert est.probability == 1.0
-
-
-def test_antithetic_estimate_agrees():
-    cfg = suburban(pt_db=10.0)
-    plain = mc_outage(cfg, Scheme.HD_OMA, Node.UAV2, McSettings(200_000, 9))
-    anti = mc_outage(cfg, Scheme.HD_OMA, Node.UAV2, McSettings(200_000, 9, antithetic=True))
-    assert abs(plain.probability - anti.probability) < 5 * plain.std_error
-    again = mc_outage(cfg, Scheme.HD_OMA, Node.UAV2, McSettings(200_000, 9, antithetic=True))
-    assert anti == again
 
 
 def test_equivalence_check_reference_cases():

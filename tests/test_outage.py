@@ -10,7 +10,7 @@ from conftest import suburban, unit_link
 from fdnoma.channel import (
     MAX_MOMENT_ORDER,
     RicianShadowedParams,
-    cdf_truncated,
+    TruncatedSeries,
     sample_rician_shadowed,
 )
 from fdnoma.outage import (
@@ -21,7 +21,6 @@ from fdnoma.outage import (
     SystemConfig,
     evaluate_outage,
     noma_effective_threshold,
-    outage_series,
     rate_for,
     signal_model,
     sinr_threshold,
@@ -85,15 +84,18 @@ def test_noma_effective_threshold_domain():
 def test_series_trivial_thresholds():
     desired = unit_link(10.0, 10.0)
     interferers = [unit_link(10.0, 3.0)]
-    assert outage_series(desired, interferers, 0.0, 25).value == 0.0
-    assert outage_series(desired, interferers, math.inf, 25).value == 1.0
+    for gamma, want in ((0.0, 0.0), (math.inf, 1.0)):
+        series = TruncatedSeries(desired, interferers, gamma, 25)
+        assert series.at(1.0, [1.0]).value == want
 
 
 def test_series_reduces_to_cdf_without_interferers():
+    # a vanishing interferer leaves the interference-free CDF
     desired = RicianShadowedParams(0.8, 10.0, 3.0)
+    interferer = RicianShadowedParams(1.0, 10.0, 10.0)
     for gamma in (0.03, 0.1, 0.4):
-        lhs = outage_series(desired, [], gamma, 25)
-        rhs = cdf_truncated(desired, gamma, 25)
+        lhs = TruncatedSeries(desired, [interferer], gamma, 25).at(0.8, [1e-300])
+        rhs = TruncatedSeries(desired, [], gamma, 25).at(0.8, [])
         assert lhs.value == pytest.approx(rhs.value, rel=1e-12)
         assert lhs.converged == rhs.converged
 
@@ -104,7 +106,8 @@ def test_series_single_interferer_matches_monte_carlo():
     desired = RicianShadowedParams(100.0 / 9.0, 10.0, 10.0)
     interferer = RicianShadowedParams(100.0 / 9.0, 10.0, 10.0)
     gamma = 0.0993
-    closed = outage_series(desired, [interferer], gamma, 25)
+    series = TruncatedSeries(desired, [interferer], gamma, 25)
+    closed = series.at(desired.mean_power, [interferer.mean_power])
     n = 10**6
     x = sample_rician_shadowed(desired, rng, n)
     y = sample_rician_shadowed(interferer, rng, n)
@@ -176,7 +179,8 @@ def test_fd_uav_degenerate_collapse_to_cdf():
     result = evaluate_outage(cfg, Scheme.FD_NOMA, Node.UAV2)
     gamma = sinr_threshold(rate_for(Scheme.FD_NOMA, cfg.r_oma))
     desired = RicianShadowedParams(cfg.pt_linear / 4.0, 10.0, 3.0)
-    want = cdf_truncated(desired, gamma / (1.0 - 1e-12), 25).value
+    series = TruncatedSeries(desired, (), gamma / (1.0 - 1e-12), 25)
+    want = series.at(desired.mean_power, ()).value
     assert result.probability == pytest.approx(want, rel=1e-6)
 
 

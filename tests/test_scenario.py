@@ -22,9 +22,12 @@ from fdnoma.scenario import (
 )
 
 REFERENCE = os.path.join(os.path.dirname(__file__), "..", "configs", "reference.ini")
+# the closed-form sweep the benchmark runs; read here, never written
+BENCH_CONFIG = os.path.join(os.path.dirname(__file__), "..", "bench", "cf_sweep.ini")
 DATA = os.path.join(os.path.dirname(__file__), "data")
 # `fdnoma sweep --config configs/reference.ini` output, kept byte for byte
 REFERENCE_CSV = os.path.join(DATA, "reference_cf.csv")
+REFERENCE_MC_CSV = os.path.join(DATA, "reference_mc.csv")
 
 MINIMAL = """
 [geometry]
@@ -124,6 +127,8 @@ def test_bad_number_and_bool(tmp_path):
         ("system", "noise_dbm", "nan", "noise_power"),
         ("geometry", "d_1g", "inf", "d_1g"),
         ("geometry", "pathloss_exp", "inf", "pathloss_exp"),
+        ("fading", "k_1g", "inf", "k_factor"),
+        ("fading", "m_g3", "inf", "severity m"),
     ],
 )
 def test_non_finite_values_rejected(tmp_path, capsys, section, key, value, named):
@@ -136,6 +141,27 @@ def test_non_finite_values_rejected(tmp_path, capsys, section, key, value, named
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and named in err
     assert not out.exists()
+
+
+def test_retired_antithetic_key(tmp_path, capsys):
+    # older configs set `antithetic = false`; they load unchanged
+    config = MINIMAL + "\n[sweep]\nantithetic = {}\n"
+    assert load_config(write(tmp_path, config.format("false"))) == load_config(
+        write(tmp_path, MINIMAL, "minimal.ini")
+    )
+    path = write(tmp_path, config.format("true"), "true.ini")
+    with pytest.raises(ConfigError, match="sweep.antithetic"):
+        load_config(path)
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--config", path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "sweep.antithetic" in err
+    assert not out.exists()
+
+
+def test_bench_config_loads():
+    _, spec = load_config(BENCH_CONFIG)
+    assert len(spec.power_grid()) == 61
 
 
 def test_unknown_scheme_rejected(tmp_path):
@@ -193,12 +219,11 @@ def test_point_evaluation_equals_sweep_row_bit_for_bit():
         assert point.converged == row.converged, row
 
 
-@pytest.mark.parametrize("antithetic", [False, True])
-def test_mc_point_equals_sweep_row_bit_for_bit(antithetic):
+def test_mc_point_equals_sweep_row_bit_for_bit():
     # the rows of `fdnoma sweep --config configs/reference.ini --mc
-    # --samples 65536 --seed 7`, plain and antithetic
+    # --samples 65536 --seed 7`
     cfg, spec = load_config(REFERENCE)
-    mc = McSettings(65536, 7, antithetic)
+    mc = McSettings(65536, 7)
     table = run_sweep(cfg, replace(spec, with_mc=True, mc=mc))
     assert len(table.rows) == 117
     for row in table.rows:
@@ -350,28 +375,20 @@ def test_cli_reference_sweep_matches_golden_csv(tmp_path):
         assert out.read_bytes() == handle.read()
 
 
-@pytest.mark.parametrize("antithetic", ["false", "true"])
-def test_cli_reference_mc_sweep_matches_golden_csv(tmp_path, antithetic):
-    # `fdnoma sweep --config configs/reference.ini --mc --samples 65536 --seed 7`,
-    # and the same with `antithetic = true`; pins the Monte Carlo draw order
-    with open(REFERENCE, encoding="utf-8") as handle:
-        text = handle.read()
-    line = "\nantithetic = false\n"
-    assert line in text
-    config = write(tmp_path, text.replace(line, f"\nantithetic = {antithetic}\n"))
-    golden = "reference_mc.csv" if antithetic == "false" else "reference_mc_antithetic.csv"
+def test_cli_reference_mc_sweep_matches_golden_csv(tmp_path):
+    # `fdnoma sweep --config configs/reference.ini --mc --samples 65536 --seed 7`;
+    # pins the Monte Carlo draw order
     out = tmp_path / "reference_mc.csv"
-    args = ["--config", config, "--out", str(out), "--mc", "--samples", "65536", "--seed", "7"]
+    args = ["--config", REFERENCE, "--out", str(out), "--mc", "--samples", "65536", "--seed", "7"]
     assert main(["sweep"] + args) == 0
-    with open(os.path.join(DATA, golden), "rb") as handle:
+    with open(REFERENCE_MC_CSV, "rb") as handle:
         assert out.read_bytes() == handle.read()
 
 
-@pytest.mark.parametrize("golden", ["reference_mc.csv", "reference_mc_antithetic.csv"])
-def test_golden_mc_agrees_with_closed_form(golden):
+def test_golden_mc_agrees_with_closed_form():
     # both oracles in one file: every Monte Carlo estimate within 5 SE of the
     # closed form, the SE floored at one sample in 65536
-    with open(os.path.join(DATA, golden), encoding="utf-8") as handle:
+    with open(REFERENCE_MC_CSV, encoding="utf-8") as handle:
         header, *lines = handle.read().splitlines()
     assert header == CSV_HEADER and len(lines) == 117
     misses = []
