@@ -12,7 +12,13 @@ from .channel import (
     sample_exponential,
     sample_rician_shadowed,
 )
-from .montecarlo import McEstimate, McSettings, mc_outage, mc_outage_curve
+from .montecarlo import (
+    McEstimate,
+    McSettings,
+    mc_outage,
+    mc_outage_curve,
+    mc_outage_curves,
+)
 from .outage import (
     FadingSet,
     Node,

@@ -15,7 +15,7 @@ import os
 from dataclasses import dataclass
 
 from .channel import RicianShadowedParams
-from .montecarlo import McSettings, mc_outage_curve
+from .montecarlo import McSettings, mc_outage_curves
 from .outage import (
     FadingSet,
     Node,
@@ -313,26 +313,23 @@ def run_sweep(cfg: SystemConfig, spec: SweepSpec) -> SweepTable:
 
     Rows are sorted by (scheme, node, pt).  The closed form of each pair
     is one `OutageCurve` over the power grid.  Monte Carlo columns are
-    present iff the spec asks for them; each pair's are one
-    `mc_outage_curve` with seed `spec.mc.seed`, whose (seed, batch)
-    substreams every row of the pair shares, so a row equals `mc_outage`
-    at its power.  Evaluator errors mark the row failed (NaN,
-    converged=False, `error` set) without aborting the sweep.
+    present iff the spec asks for them; they come from one
+    `mc_outage_curves` call over every pair with seed `spec.mc.seed`,
+    whose (seed, batch) substreams every row of a pair shares, so a row
+    equals `mc_outage` at its power.  Evaluator errors mark the row failed
+    (NaN, converged=False, `error` set) without aborting the sweep.
     """
     grid = spec.power_grid()
     combos = sorted(
         ((scheme, node) for scheme in set(spec.schemes) for node in set(spec.nodes)),
         key=lambda pair: (pair[0].value, pair[1].value),
     )
+    simulated = mc_outage_curves(cfg, combos, grid, spec.mc) if spec.with_mc else {}
     rows: list[SweepRow] = []
     for scheme, node in combos:
         closed = _evaluate_curve(cfg, scheme, node, grid)
-        simulated = (
-            mc_outage_curve(cfg, scheme, node, grid, spec.mc)
-            if spec.with_mc
-            else [None] * len(grid)
-        )
-        for pt, (cf, converged, error), estimate in zip(grid, closed, simulated):
+        estimates = simulated.get((scheme, node), [None] * len(grid))
+        for pt, (cf, converged, error), estimate in zip(grid, closed, estimates):
             rows.append(
                 SweepRow(
                     scheme=scheme,

@@ -1,5 +1,5 @@
-"""Shared test scaffolding: the reference suburban scenario and the
-event-form equivalence check."""
+"""Shared test scaffolding: the reference suburban scenario, the
+event-form equivalence check and the direct-SINR outage count."""
 
 import math
 
@@ -11,6 +11,7 @@ from fdnoma.outage import (
     Node,
     NodeGeometry,
     Scheme,
+    SignalModel,
     SystemConfig,
     noma_effective_threshold,
     signal_model,
@@ -85,3 +86,22 @@ def threshold_equivalence_check(
     direct = alloc * x / (residual * (1.0 - alloc) * x + y + 1.0) <= model.gamma
     transformed = x / (y + 1.0) <= gamma_eff
     return bool(np.all(direct == transformed))
+
+
+def direct_outage_count(model: SignalModel, unit, pt_linear: float) -> int:
+    """Outage events among one batch of unit-mean draws at one power, with
+    each sample's SINR formed from the power split itself: the reference
+    that Monte Carlo's margin counts are checked against.
+
+    `unit` holds the desired link's draws, then each interferer's, in
+    model order.
+    """
+    links = (model.desired,) + model.interferers
+    x, *ys = [draw * link.mean_power(pt_linear) for draw, link in zip(unit, links)]
+    y = sum(ys, 0.0)
+    if model.split is None:
+        sinr = x / (y + 1.0)
+    else:
+        alloc, residual = model.split
+        sinr = alloc * x / (residual * (1.0 - alloc) * x + y + 1.0)
+    return int(np.count_nonzero(sinr <= model.gamma))

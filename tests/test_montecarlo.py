@@ -5,10 +5,26 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import suburban, threshold_equivalence_check
+from conftest import direct_outage_count, suburban, threshold_equivalence_check
 from fdnoma.channel import RicianShadowedParams, TruncatedSeries
-from fdnoma.montecarlo import McSettings, mc_outage
-from fdnoma.outage import Node, Scheme, evaluate_outage, rate_for, sinr_threshold
+from fdnoma.montecarlo import (
+    McSettings,
+    _batch_rng,
+    _draw,
+    _margin,
+    _outage_counts,
+    _thresholds,
+    mc_outage,
+    mc_outage_curve,
+)
+from fdnoma.outage import (
+    Node,
+    Scheme,
+    evaluate_outage,
+    rate_for,
+    signal_model,
+    sinr_threshold,
+)
 
 FAST = McSettings(num_samples=200_000, seed=17)
 
@@ -122,3 +138,46 @@ def test_batch_boundary_sizes():
     est = mc_outage(cfg, Scheme.HD_OMA, Node.UAV2, McSettings(300_000, 10))
     assert est.num_samples == 300_000
     assert 0.0 < est.probability < 1.0
+
+
+@pytest.mark.parametrize("r_oma", [0.2, 3.0])  # 3.0: certain outage at UAV-3
+@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("node", list(Node))
+def test_margin_counts_equal_direct_sinr_counts(scheme, node, r_oma):
+    # sample by sample on the same draws: Z <= gamma / pt iff SINR <= gamma
+    cfg = suburban(r_oma=r_oma)
+    model = signal_model(cfg, scheme, node)
+    grid = [30.0, 0.0, 60.0]
+    rng = _batch_rng(12, 0)
+    unit = [_draw(link.fading, rng, 1 << 16) for link in (model.desired,) + model.interferers]
+    counts = _outage_counts(_margin(model, unit[0], unit[1:]), _thresholds(model.gamma, grid))
+    want = [direct_outage_count(model, unit, 10.0 ** (pt / 10.0)) for pt in grid]
+    assert counts.tolist() == want
+
+
+def test_thresholds_at_extreme_powers():
+    # overflow: the noise-free limit; underflow to 0: certain outage, even at gamma 0
+    got = _thresholds(0.5, [3100.0, -4000.0, 3000.0, 10.0])
+    assert got.tolist() == [0.0, math.inf, 0.5 / 1e300, 0.05]
+    assert _thresholds(0.0, [3100.0, -4000.0, 0.0]).tolist() == [0.0, math.inf, 0.0]
+
+
+def test_curve_at_extreme_powers_reads_limits():
+    cfg = suburban(r_oma=0.0)
+    settings = McSettings(num_samples=1000, seed=2)
+    for scheme in Scheme:
+        for node in Node:
+            got = mc_outage_curve(cfg, scheme, node, [-4000.0, 3100.0], settings)
+            assert [est.probability for est in got] == [1.0, 0.0]
+
+
+def test_curve_equals_points_on_unsorted_grid_with_duplicates():
+    cfg = suburban()
+    grid = [30.0, 0.0, 60.0, 30.0, -5.0]
+    settings = McSettings(num_samples=300_000, seed=21)  # two batches
+    for scheme, node in [(Scheme.FD_NOMA, Node.GS), (Scheme.HD_NOMA, Node.UAV2)]:
+        curve = mc_outage_curve(cfg, scheme, node, grid, settings)
+        points = [mc_outage(replace(cfg, p_t=pt), scheme, node, settings) for pt in grid]
+        assert curve == points
+        assert curve[0] == curve[3]
+        assert mc_outage_curve(cfg, scheme, node, [], settings) == []

@@ -8,7 +8,7 @@ import pytest
 
 import fdnoma.cli
 from fdnoma.cli import main
-from fdnoma.montecarlo import McSettings, mc_outage
+from fdnoma.montecarlo import McSettings, mc_outage, mc_outage_curve
 from fdnoma.outage import Node, OutageCurve, Scheme, evaluate_outage
 from fdnoma.specfun import SeriesConvergenceError
 from fdnoma.scenario import (
@@ -229,6 +229,21 @@ def test_mc_point_equals_sweep_row_bit_for_bit():
     for row in table.rows:
         point = mc_outage(replace(cfg, p_t=row.pt_db), row.scheme, row.node, mc)
         assert (point.probability, point.std_error) == (row.outage_mc, row.mc_se), row
+
+
+def test_sweep_mc_columns_equal_standalone_curves():
+    # pairs sharing a desired link's draws get the values they get alone
+    cfg, spec = load_config(REFERENCE)
+    mc = McSettings(300_000, 5)  # two batches
+    table = run_sweep(cfg, replace(spec, with_mc=True, mc=mc))
+    grid = spec.power_grid()
+    for scheme in Scheme:
+        for node in Node:
+            rows = [r for r in table.rows if (r.scheme, r.node) == (scheme, node)]
+            curve = mc_outage_curve(cfg, scheme, node, grid, mc)
+            assert [(r.outage_mc, r.mc_se) for r in rows] == [
+                (est.probability, est.std_error) for est in curve
+            ], (scheme, node)
 
 
 def test_sweep_spec_validation():
@@ -461,3 +476,27 @@ def test_cli_sweep_reports_failed_rows(monkeypatch, tmp_path, capsys):
     assert out.read_text(encoding="utf-8") == "".join(",".join(f) + "\n" for f in want)
     assert main(["sweep", "--config", REFERENCE, "--out", str(out), "--strict"]) == 2
     assert "warning: 9 row(s)" in capsys.readouterr().err
+
+
+def test_cli_mc_sweep_at_overflowing_power(tmp_path, capsys):
+    # 10^310 overflows a float: the closed form fails that row, Monte Carlo
+    # reads the noise-free limit, and the sweep still writes every row
+    sweep = "\n[sweep]\npt_start_db = 3000\npt_stop_db = 3100\npt_step_db = 50\n"
+    path = write(tmp_path, MINIMAL + sweep + "schemes = fd_noma\nnodes = gs\n")
+    out = tmp_path / "extreme.csv"
+    assert main(["sweep", "--config", path, "--out", str(out), "--mc", "--samples", "2000"]) == 0
+    assert "1 row(s) failed" in capsys.readouterr().err
+    lines = out.read_text(encoding="utf-8").splitlines()[1:]
+    assert [line.split(",")[2] for line in lines] == ["3000", "3050", "3100"]
+    for line in lines:
+        mc, se = (float(v) for v in line.split(",")[5:])
+        assert math.isfinite(mc) and math.isfinite(se) and 0.0 <= mc <= 1.0
+
+
+def test_mc_sweep_at_underflowing_power_is_certain_outage():
+    cfg, _ = load_config(REFERENCE)
+    spec = replace(
+        single_point_spec(with_mc=True), pt_start_db=-4000.0, pt_stop_db=-4000.0
+    )
+    table = run_sweep(cfg, spec)
+    assert [(r.outage_mc, r.mc_se) for r in table.rows] == [(1.0, 0.0)] * 9
