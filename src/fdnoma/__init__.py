@@ -5,20 +5,12 @@ an independent Monte Carlo simulation oracle, plus a sweep CLI.
 """
 
 from .channel import (
-    ExponentialParams,
     RicianShadowedParams,
     TruncatedCdf,
     rician_shadowed_moment,
-    sample_exponential,
     sample_rician_shadowed,
 )
-from .montecarlo import (
-    McEstimate,
-    McSettings,
-    mc_outage,
-    mc_outage_curve,
-    mc_outage_curves,
-)
+from .montecarlo import McEstimate, McSettings, mc_outage, mc_outage_curves
 from .outage import (
     FadingSet,
     Node,

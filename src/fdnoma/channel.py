@@ -1,4 +1,4 @@
-"""Rician shadowed and exponential power distributions.
+"""Rician shadowed power distributions.
 
 Moments, the closed form's one series evaluator `TruncatedSeries` (the
 CDF expansion of a desired link against the moments of an interference
@@ -6,7 +6,8 @@ sum), and exact sampling.  The squared-envelope power X of a Rician
 shadowed link is parameterised by its mean power, Rician K factor and
 shadowing severity m (Nakagami shape of the line-of-sight amplitude).
 `mean_power` is the first moment of X; the moment formula and the sampler
-agree on that convention and the test suite pins it.
+agree on that convention and the test suite pins it.  K = 0 leaves only
+the diffuse component: exponential power (Rayleigh fading) for any m.
 
 All functions are pure; samplers take an explicit numpy Generator and a
 sample count, always return an ndarray, and keep a fixed draw order, so
@@ -26,13 +27,11 @@ from .specfun import gauss_2f1
 
 __all__ = [
     "RicianShadowedParams",
-    "ExponentialParams",
     "TruncatedCdf",
     "TruncatedSeries",
     "MAX_MOMENT_ORDER",
     "rician_shadowed_moment",
     "sample_rician_shadowed",
-    "sample_exponential",
 ]
 
 MAX_MOMENT_ORDER = 64
@@ -67,17 +66,6 @@ class RicianShadowedParams:
 
 
 @dataclass(frozen=True)
-class ExponentialParams:
-    """Exponentially distributed power (e.g. channel estimation error)."""
-
-    mean_power: float
-
-    def __post_init__(self) -> None:
-        if not self.mean_power > 0:
-            raise ValueError(f"mean_power must be positive, got {self.mean_power}")
-
-
-@dataclass(frozen=True)
 class TruncatedCdf:
     """Value of a truncated CDF series plus its convergence metadata."""
 
@@ -85,15 +73,16 @@ class TruncatedCdf:
     converged: bool
 
 
-def _log_moment_shape(p: RicianShadowedParams | ExponentialParams, order: int) -> float:
+def _log_moment_shape(p: RicianShadowedParams, order: int) -> float:
     """log(E{X^order} / (order! mean_power^order)): the part of a log moment
     that does not depend on the mean power.
 
     For Rician shadowed X (Abdi et al., IEEE TWC 2003) it is
-    -l log(1+K) + (m-1-l) log(m/(K+m)) + log 2F1(1-m, 1+l; 1; -K/m);
-    for exponential X it is 0.
+    -l log(1+K) + (m-1-l) log(m/(K+m)) + log 2F1(1-m, 1+l; 1; -K/m),
+    which is exactly 0 at K = 0 (exponential X) for any m; that case skips
+    the 2F1 evaluation.
     """
-    if isinstance(p, ExponentialParams):
+    if p.k_factor == 0:
         return 0.0
     k, m = p.k_factor, p.m
     hyp = gauss_2f1(1.0 - m, 1.0 + order, 1.0, -k / m)
@@ -169,15 +158,6 @@ def _log_sum_exp(logs: list[float]) -> float:
     return peak + math.log(math.fsum(math.exp(x - peak) for x in logs))
 
 
-def _signed_exp(sign: float, log_mag: float) -> float:
-    """sign * exp(log_mag), or +-inf past the double range."""
-    if sign == 0.0:
-        return 0.0
-    if log_mag > _LOG_HUGE:
-        return math.copysign(math.inf, sign)
-    return sign * math.exp(log_mag)
-
-
 class TruncatedSeries:
     """Truncated series for P(X0 <= gamma (1 + sum_j Y_j)), tabulated once
     for any mean powers of the desired link X0 and the interferers Y_j.
@@ -204,7 +184,7 @@ class TruncatedSeries:
     def __init__(
         self,
         desired: RicianShadowedParams,
-        interferers: Sequence[RicianShadowedParams | ExponentialParams],
+        interferers: Sequence[RicianShadowedParams],
         gamma: float,
         k_tr: int,
     ):
@@ -266,8 +246,10 @@ class TruncatedSeries:
         The truncated sum is clamped to [0, 1]; the alternating series can
         slightly overshoot before it has converged.  `converged` goes false
         when per-order magnitudes keep growing (threshold far outside the
-        expansion's useful range) or a term overflows.  A zero threshold
-        gives 0 and an infinite one certain outage.
+        expansion's useful range).  A term past double range raises
+        OverflowError naming its order: the finite terms alone say nothing
+        about the sum.  A zero threshold gives 0 and an infinite one
+        certain outage.
         """
         if len(interferer_means) != self._num_interferers:
             raise ValueError(
@@ -278,11 +260,16 @@ class TruncatedSeries:
             return TruncatedCdf(0.0, True)
         if math.isinf(self.gamma):
             return TruncatedCdf(1.0, True)
-        terms = [_signed_exp(*t) for t in self._log_terms(desired_mean, interferer_means)]
-        total = math.fsum(t for t in terms if math.isfinite(t))
-        converged = all(math.isfinite(t) for t in terms) and not _diverging(
-            [abs(t) for t in terms]
-        )
+        terms = []
+        for n, (sign, log_mag) in enumerate(self._log_terms(desired_mean, interferer_means)):
+            if log_mag > _LOG_HUGE:
+                raise OverflowError(
+                    f"series term of order {n} overflows double precision "
+                    f"(log magnitude {log_mag:.1f})"
+                )
+            terms.append(sign * math.exp(log_mag))
+        total = math.fsum(terms)
+        converged = not _diverging([abs(t) for t in terms])
         return TruncatedCdf(min(max(total, 0.0), 1.0), converged)
 
 
@@ -310,22 +297,15 @@ def sample_rician_shadowed(
     diffuse component.  The diffuse term is circularly symmetric, so
     aligning the line-of-sight phasor with the real axis leaves the law of
     |sqrt(G) e^{j theta} + c|^2 unchanged and needs no phase draw.  Draws
-    are taken in the order G (skipped when K = 0), c_r, c_i.
+    are taken in the order G, c_r, c_i.  At K = 0 there is no line of
+    sight and X is exponential with the mean power: one exponential draw
+    replaces the two Gaussians.
     """
+    if p.k_factor == 0:
+        return rng.exponential(p.mean_power, size)
     omega = p.mean_power * p.k_factor / (1.0 + p.k_factor)
     scale = math.sqrt(p.mean_power / (1.0 + p.k_factor) / 2.0)
-
-    if p.k_factor > 0:
-        los_amp = np.sqrt(rng.gamma(p.m, omega / p.m, size))
-    else:
-        los_amp = np.zeros(size)
+    los_amp = np.sqrt(rng.gamma(p.m, omega / p.m, size))
     c_r = rng.normal(0.0, scale, size)
     c_i = rng.normal(0.0, scale, size)
     return np.square(los_amp + c_r) + np.square(c_i)
-
-
-def sample_exponential(
-    p: ExponentialParams, rng: np.random.Generator, size: int
-) -> np.ndarray:
-    """Draw `size` exponential power samples with the given mean."""
-    return rng.exponential(p.mean_power, size)

@@ -21,9 +21,9 @@ node, power, settings), not on the other pairs or points of the sweep.
 Samples within a point are independent, so its standard error is the
 binomial sqrt(p (1 - p) / n).  Points of one curve share their draws and
 are therefore correlated; each point's standard error is still valid on
-its own.  `mc_outage_curve` is the one-pair case and `mc_outage` the
-one-point case, so a point estimate equals the matching sweep row bit for
-bit.
+its own.  `mc_outage` is the one-pair, one-point case, so a point estimate
+equals the matching sweep row bit for bit.  Every link, the estimation
+error included, is Rician shadowed, so one sampler draws them all.
 """
 
 from __future__ import annotations
@@ -34,10 +34,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .channel import ExponentialParams, sample_exponential, sample_rician_shadowed
+from .channel import RicianShadowedParams, sample_rician_shadowed
 from .outage import Node, Scheme, SignalModel, SystemConfig, signal_model
 
-__all__ = ["McSettings", "McEstimate", "mc_outage", "mc_outage_curve", "mc_outage_curves"]
+__all__ = ["McSettings", "McEstimate", "mc_outage", "mc_outage_curves"]
 
 _BATCH = 1 << 18
 _SEED_MASK = (1 << 64) - 1
@@ -62,12 +62,6 @@ class McEstimate:
 
 def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed & _SEED_MASK, batch_index]))
-
-
-def _draw(fading, rng, size: int) -> np.ndarray:
-    if isinstance(fading, ExponentialParams):
-        return sample_exponential(fading, rng, size)
-    return sample_rician_shadowed(fading, rng, size)
 
 
 def _thresholds(gamma: float, pt_grid_db: Sequence[float]) -> np.ndarray:
@@ -147,10 +141,16 @@ def mc_outage_curves(
     the generator's state after that draw is restored before each pair
     draws its interferers, so every pair sees exactly the streams it would
     see alone.  Each pair's draws serve its whole grid through the margin
-    of `_margin`.  The transmit power `cfg.p_t` itself is not used.
+    of `_margin`, so neither the drawing nor the per-sample arithmetic
+    grows with the grid.  Ties (SINR exactly at threshold) count as
+    outage, matching the event definition used by the closed form; the
+    event has probability zero under the continuous fading model.  A power
+    too large for a float reads as the noise-free limit, one that
+    underflows to 0 as certain outage.  The transmit power `cfg.p_t`
+    itself is not used.
     """
     models = {pair: signal_model(cfg, *pair) for pair in pairs}
-    groups: dict[object, list[tuple[Scheme, Node]]] = {}
+    groups: dict[RicianShadowedParams, list[tuple[Scheme, Node]]] = {}
     for pair, model in models.items():
         groups.setdefault(model.desired.fading, []).append(pair)
     thresholds = {pair: _thresholds(model.gamma, pt_grid_db) for pair, model in models.items()}
@@ -159,12 +159,15 @@ def mc_outage_curves(
         size = min(_BATCH, mc.num_samples - start)
         for fading, members in groups.items():
             rng = _batch_rng(mc.seed, index)
-            desired = _draw(fading, rng, size)
+            desired = sample_rician_shadowed(fading, rng, size)
             after_desired = rng.bit_generator.state
             for pair in members:
                 rng.bit_generator.state = after_desired
                 model = models[pair]
-                interference = [_draw(link.fading, rng, size) for link in model.interferers]
+                interference = [
+                    sample_rician_shadowed(link.fading, rng, size)
+                    for link in model.interferers
+                ]
                 counts[pair] += _outage_counts(
                     _margin(model, desired, interference), thresholds[pair]
                 )
@@ -174,34 +177,11 @@ def mc_outage_curves(
     }
 
 
-def mc_outage_curve(
-    cfg: SystemConfig,
-    scheme: Scheme,
-    node: Node,
-    pt_grid_db: Sequence[float],
-    mc: McSettings,
-) -> list[McEstimate]:
-    """Estimate the outage probability of (scheme, node) at every transmit
-    power of `pt_grid_db` (dB over the noise floor) by simulation: the
-    one-pair case of `mc_outage_curves`.
-
-    Each batch draws the unit-mean fading of the desired link, then of
-    each interferer, once, forms each sample's margin Z once, and counts
-    the outages at every power point from Z, so neither the drawing nor
-    the per-sample arithmetic grows with the grid.  Ties (SINR exactly at
-    threshold) count as outage, matching the event definition used by the
-    closed form; the event has probability zero under the continuous
-    fading model.  A power too large for a float reads as the noise-free
-    limit, one that underflows to 0 as certain outage.  The transmit power
-    `cfg.p_t` itself is not used.
-    """
-    return mc_outage_curves(cfg, [(scheme, node)], pt_grid_db, mc)[(scheme, node)]
-
-
 def mc_outage(
     cfg: SystemConfig, scheme: Scheme, node: Node, mc: McSettings
 ) -> McEstimate:
     """Estimate the outage probability of (scheme, node) at the transmit
-    power cfg.p_t: the one-point case of `mc_outage_curve`."""
-    (estimate,) = mc_outage_curve(cfg, scheme, node, [cfg.p_t], mc)
+    power cfg.p_t: the one-pair, one-point case of `mc_outage_curves`."""
+    pair = (scheme, node)
+    (estimate,) = mc_outage_curves(cfg, [pair], [cfg.p_t], mc)[pair]
     return estimate

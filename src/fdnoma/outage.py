@@ -22,7 +22,8 @@ SINR denominators carry a unit noise term.  The oscillator phase-noise
 strength and the noise floor (both dBm) enter only through their ratio,
 which scales the self-interference channel power; the estimation-error
 variance scale `epsilon` multiplies the transmit power exactly once to
-give the mean of the exponential residual term.
+give the mean of the exponential residual term, a K = 0 Rician shadowed
+link.
 """
 
 from __future__ import annotations
@@ -31,12 +32,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .channel import (
-    MAX_MOMENT_ORDER,
-    ExponentialParams,
-    RicianShadowedParams,
-    TruncatedSeries,
-)
+from .channel import MAX_MOMENT_ORDER, RicianShadowedParams, TruncatedSeries
 
 __all__ = [
     "Scheme",
@@ -224,7 +220,7 @@ class Link:
     distance_km**pathloss_exp.
     """
 
-    fading: RicianShadowedParams | ExponentialParams
+    fading: RicianShadowedParams
     gain: float
     loss: float
 
@@ -254,8 +250,10 @@ def signal_model(cfg: SystemConfig, scheme: Scheme, node: Node) -> SignalModel:
 
     * Ground station: the uplink signal; under FD-NOMA it competes against
       the residual self-interference, a Rician shadowed term scaled by the
-      phase-noise/noise power ratio, plus an exponential channel-estimation
-      error term (dropped when epsilon = 0).
+      phase-noise/noise power ratio, plus a channel-estimation error term
+      (dropped when epsilon = 0).  The error has exponential power, which
+      is Rician shadowed fading with K = 0: unit mean, and m = 1 only
+      because a value is required, since m has no effect at K = 0.
     * Downlink UAV under NOMA: the power split applies, with the leftover
       beta after SIC at the near user UAV-2 and the full interfering share
       at the interference-ignorant far user UAV-3; under FD-NOMA the uplink
@@ -271,7 +269,8 @@ def signal_model(cfg: SystemConfig, scheme: Scheme, node: Node) -> SignalModel:
         if scheme is Scheme.FD_NOMA:
             interferers = (Link(fading.link_si, cfg.si_power_ratio, 1.0),)
             if cfg.epsilon > 0:
-                interferers += (Link(ExponentialParams(1.0), cfg.epsilon, 1.0),)
+                error = Link(RicianShadowedParams(1.0, 0.0, 1.0), cfg.epsilon, 1.0)
+                interferers += (error,)
         return SignalModel(Link(fading.link_1g, 1.0, geo.d_1g**eta), interferers, gamma, None)
     if node is Node.UAV2:
         desired = Link(fading.link_g2, 1.0, geo.d_g2**eta)
@@ -313,8 +312,14 @@ class OutageCurve:
         )
 
     def at(self, pt_db: float) -> OutageResult:
-        """Outage probability at transmit power pt_db (dB over the noise floor)."""
+        """Outage probability at transmit power pt_db (dB over the noise floor).
+
+        A power that underflows to 0 leaves only noise: certain outage, as
+        in Monte Carlo, also at a zero threshold.
+        """
         pt_linear = 10.0 ** (pt_db / 10.0)
+        if pt_linear == 0.0:
+            return OutageResult(self.scheme, self.node, 1.0, self.threshold, True)
         desired, *interferers = [link.mean_power(pt_linear) for link in self._links]
         result = self._series.at(desired, interferers)
         return OutageResult(

@@ -316,7 +316,8 @@ def run_sweep(cfg: SystemConfig, spec: SweepSpec) -> SweepTable:
     present iff the spec asks for them; they come from one
     `mc_outage_curves` call over every pair with seed `spec.mc.seed`,
     whose (seed, batch) substreams every row of a pair shares, so a row
-    equals `mc_outage` at its power.  Evaluator errors mark the row failed
+    equals `mc_outage` at its power.  Evaluator errors (say, a series term
+    past double range far below the noise floor) mark the row failed
     (NaN, converged=False, `error` set) without aborting the sweep.
     """
     grid = spec.power_grid()

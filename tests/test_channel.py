@@ -7,18 +7,24 @@ import pytest
 from scipy import stats
 
 from fdnoma.channel import (
-    ExponentialParams,
+    MAX_MOMENT_ORDER,
     RicianShadowedParams,
     TruncatedCdf,
     TruncatedSeries,
+    _log_moment_shape,
     rician_shadowed_moment,
-    sample_exponential,
     sample_rician_shadowed,
 )
 
 K_GRID = (0.1, 1.0, 10.0, 30.0)
 M_GRID = (0.5, 1.0, 3.0, 10.0)
 P_GRID = (0.1, 1.0, 10.0)
+
+
+def exponential(mean_power, m=1.0):
+    """Exponential power: a Rician shadowed link with K = 0, where m has
+    no effect."""
+    return RicianShadowedParams(mean_power, 0.0, m)
 
 
 def rng_for(seed):
@@ -80,18 +86,33 @@ def test_moment_order_limits():
 
 def test_exponential_moments():
     # E{(1 + Y)^k} for exponential Y of mean 1/2, with E{Y^l} = l!/2^l
-    p = ExponentialParams(0.5)
+    p = exponential(0.5)
     series = TruncatedSeries(RicianShadowedParams(1.0, 10.0, 10.0), [p], 0.1, 2)
     log_moments = series._log_power_moments([p.mean_power])
     assert [math.exp(x) for x in log_moments] == pytest.approx([1.5, 2.5, 4.75], rel=1e-14)
 
 
 def test_exponential_moment_mc_cross_check():
-    p = ExponentialParams(0.5)
-    y = sample_exponential(p, rng_for(11), 10**6)
+    p = exponential(0.5)
+    y = sample_rician_shadowed(p, rng_for(11), 10**6)
     m3 = (y**3).mean()
     se = (y**3).std() / math.sqrt(y.size)
     assert abs(m3 - 0.75) < 4 * se
+
+
+def test_log_moment_shape_is_zero_at_k_zero():
+    # with no line-of-sight power the formula's three parts vanish exactly
+    # for any m: log1p(0), log(m) - log(0 + m) and log 2F1(., .; 1; 0)
+    for m in M_GRID + (7.3,):
+        p = exponential(1.0, m)
+        for order in range(MAX_MOMENT_ORDER + 1):
+            assert _log_moment_shape(p, order) == 0.0
+        # and it is the K -> 0 limit of the general formula
+        near = RicianShadowedParams(1.0, 1e-12, m)
+        assert abs(_log_moment_shape(near, MAX_MOMENT_ORDER)) < 1e-9
+        assert rician_shadowed_moment(exponential(2.5, m), 7) == pytest.approx(
+            math.factorial(7) * 2.5**7, rel=1e-14
+        )
 
 
 def test_param_validation():
@@ -106,7 +127,9 @@ def test_param_validation():
     with pytest.raises(ValueError, match="severity m"):
         RicianShadowedParams(1.0, 10.0, math.inf)
     with pytest.raises(ValueError):
-        ExponentialParams(0.0)
+        exponential(0.0)
+    with pytest.raises(ValueError):
+        exponential(-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +282,7 @@ def brute_force_power_moment(interferers, k):
         for part in parts:
             term /= math.factorial(part)
         for q, part in zip(interferers, parts[1:]):
-            if isinstance(q, ExponentialParams):
+            if q.k_factor == 0:  # exponential: E{Y^l} = l! P^l
                 term *= q.mean_power**part * math.factorial(part)
             else:
                 term *= rician_shadowed_moment(q, part)
@@ -269,12 +292,12 @@ def brute_force_power_moment(interferers, k):
 
 INTERFERER_SETS = [
     [RicianShadowedParams(0.3, 10.0, 3.0)],
-    [ExponentialParams(2.5)],
-    [RicianShadowedParams(40.0, 10.0, 10.0), ExponentialParams(4.0)],
+    [exponential(2.5)],
+    [RicianShadowedParams(40.0, 10.0, 10.0), exponential(4.0, m=3.0)],
     [RicianShadowedParams(1.5, 0.0, 2.0), RicianShadowedParams(0.02, 30.0, 0.5)],
     [
         RicianShadowedParams(7.0, 1.0, 1.0),
-        ExponentialParams(0.1),
+        exponential(0.1, m=0.5),
         RicianShadowedParams(3.0, 10.0, 3.0),
     ],
 ]
@@ -293,7 +316,7 @@ def test_moment_convolution_matches_composition_sum(interferers, k_tr):
 
 def test_series_takes_one_mean_per_interferer():
     desired = RicianShadowedParams(1.0, 10.0, 10.0)
-    series = TruncatedSeries(desired, [ExponentialParams(1.0)], 0.1, 5)
+    series = TruncatedSeries(desired, [exponential(1.0)], 0.1, 5)
     with pytest.raises(ValueError):
         series.at(1.0, [])
 
@@ -325,6 +348,16 @@ def test_sampler_k_zero_is_exponential():
     assert ks.pvalue > 0.01
 
 
+def test_sampler_k_zero_is_one_numpy_exponential_draw():
+    # the K = 0 stream is numpy's exponential stream, for any m
+    for m in (0.5, 1.0, 5.0):
+        ours, numpys = rng_for(9), rng_for(9)
+        x = sample_rician_shadowed(exponential(2.0, m), ours, 1000)
+        assert np.array_equal(x, numpys.exponential(2.0, 1000))
+        # and leaves the generator where that draw does, for the next link
+        assert ours.random() == numpys.random()
+
+
 def test_sampler_large_m_approaches_rician():
     # m -> inf freezes the line-of-sight power: X becomes a scaled
     # noncentral chi-square with 2 dof
@@ -344,15 +377,16 @@ def test_sampler_determinism():
     assert np.array_equal(xa, xb)
     # one draw is an array of length one, never a scalar
     assert sample_rician_shadowed(p, rng_for(5), 1).shape == (1,)
-    assert sample_exponential(ExponentialParams(1.0), rng_for(5), 1).shape == (1,)
-    with pytest.raises(ValueError):
-        sample_rician_shadowed(p, rng_for(5), -1)
+    assert sample_rician_shadowed(exponential(1.0), rng_for(5), 1).shape == (1,)
+    for q in (p, exponential(1.0)):
+        with pytest.raises(ValueError):
+            sample_rician_shadowed(q, rng_for(5), -1)
 
 
 def test_exponential_sampler_mean_and_tail():
-    p = ExponentialParams(1.0)
-    y = sample_exponential(p, rng_for(7), 10**6)
+    p = exponential(1.0)
+    y = sample_rician_shadowed(p, rng_for(7), 10**6)
     assert abs(y.mean() - 1.0) < 0.01
-    p2 = ExponentialParams(0.1)
-    y2 = sample_exponential(p2, rng_for(8), 10**6)
+    p2 = exponential(0.1)
+    y2 = sample_rician_shadowed(p2, rng_for(8), 10**6)
     assert abs(np.mean(y2 > 0.1) - math.exp(-1)) < 0.005

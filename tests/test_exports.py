@@ -17,14 +17,37 @@ def test_module_all_resolves(name):
     assert not missing, missing
 
 
+# the public API: adding or dropping a name is a deliberate edit here
+PACKAGE_EXPORTS = {
+    "ConfigError", "FadingSet", "McEstimate", "McSettings", "Node", "NodeGeometry",
+    "OutageCurve", "OutageResult", "RicianShadowedParams", "Scheme",
+    "SeriesConvergenceError", "SweepSpec", "SweepTable", "SystemConfig", "TruncatedCdf",
+    "emit_csv", "emit_plot_data", "evaluate_outage", "gauss_2f1", "load_config",
+    "mc_outage", "mc_outage_curves", "noma_effective_threshold", "rate_for",
+    "rician_shadowed_moment", "run_sweep", "sample_rician_shadowed", "sinr_threshold",
+}
+
+
+def package_exports():
+    return {
+        item
+        for item, value in vars(fdnoma).items()
+        if not item.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+
+
 def test_package_exports_are_module_exports():
     # the package re-exports part of the modules' public names, nothing else
     public = set()
     for name in MODULES:
         public.update(importlib.import_module(f"fdnoma.{name}").__all__)
-    exported = {
-        item
-        for item, value in vars(fdnoma).items()
-        if not item.startswith("_") and not isinstance(value, types.ModuleType)
-    }
+    exported = package_exports()
     assert exported <= public, sorted(exported - public)
+
+
+def test_package_exports_are_pinned():
+    exported = package_exports()
+    assert exported == PACKAGE_EXPORTS, (
+        f"added: {sorted(exported - PACKAGE_EXPORTS)}, "
+        f"dropped: {sorted(PACKAGE_EXPORTS - exported)}"
+    )

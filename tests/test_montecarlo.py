@@ -6,16 +6,15 @@ from dataclasses import replace
 import pytest
 
 from conftest import direct_outage_count, suburban, threshold_equivalence_check
-from fdnoma.channel import RicianShadowedParams, TruncatedSeries
+from fdnoma.channel import RicianShadowedParams, TruncatedSeries, sample_rician_shadowed
 from fdnoma.montecarlo import (
     McSettings,
     _batch_rng,
-    _draw,
     _margin,
     _outage_counts,
     _thresholds,
     mc_outage,
-    mc_outage_curve,
+    mc_outage_curves,
 )
 from fdnoma.outage import (
     Node,
@@ -149,7 +148,8 @@ def test_margin_counts_equal_direct_sinr_counts(scheme, node, r_oma):
     model = signal_model(cfg, scheme, node)
     grid = [30.0, 0.0, 60.0]
     rng = _batch_rng(12, 0)
-    unit = [_draw(link.fading, rng, 1 << 16) for link in (model.desired,) + model.interferers]
+    links = (model.desired,) + model.interferers
+    unit = [sample_rician_shadowed(link.fading, rng, 1 << 16) for link in links]
     counts = _outage_counts(_margin(model, unit[0], unit[1:]), _thresholds(model.gamma, grid))
     want = [direct_outage_count(model, unit, 10.0 ** (pt / 10.0)) for pt in grid]
     assert counts.tolist() == want
@@ -165,19 +165,20 @@ def test_thresholds_at_extreme_powers():
 def test_curve_at_extreme_powers_reads_limits():
     cfg = suburban(r_oma=0.0)
     settings = McSettings(num_samples=1000, seed=2)
-    for scheme in Scheme:
-        for node in Node:
-            got = mc_outage_curve(cfg, scheme, node, [-4000.0, 3100.0], settings)
-            assert [est.probability for est in got] == [1.0, 0.0]
+    pairs = [(scheme, node) for scheme in Scheme for node in Node]
+    curves = mc_outage_curves(cfg, pairs, [-4000.0, 3100.0], settings)
+    assert list(curves) == pairs
+    for pair in pairs:
+        assert [est.probability for est in curves[pair]] == [1.0, 0.0], pair
 
 
 def test_curve_equals_points_on_unsorted_grid_with_duplicates():
     cfg = suburban()
     grid = [30.0, 0.0, 60.0, 30.0, -5.0]
     settings = McSettings(num_samples=300_000, seed=21)  # two batches
-    for scheme, node in [(Scheme.FD_NOMA, Node.GS), (Scheme.HD_NOMA, Node.UAV2)]:
-        curve = mc_outage_curve(cfg, scheme, node, grid, settings)
-        points = [mc_outage(replace(cfg, p_t=pt), scheme, node, settings) for pt in grid]
+    for pair in [(Scheme.FD_NOMA, Node.GS), (Scheme.HD_NOMA, Node.UAV2)]:
+        curve = mc_outage_curves(cfg, [pair], grid, settings)[pair]
+        points = [mc_outage(replace(cfg, p_t=pt), *pair, settings) for pt in grid]
         assert curve == points
         assert curve[0] == curve[3]
-        assert mc_outage_curve(cfg, scheme, node, [], settings) == []
+        assert mc_outage_curves(cfg, [pair], [], settings) == {pair: []}

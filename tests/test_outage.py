@@ -13,10 +13,13 @@ from fdnoma.channel import (
     TruncatedSeries,
     sample_rician_shadowed,
 )
+from fdnoma.montecarlo import McSettings, mc_outage
 from fdnoma.outage import (
     FadingSet,
+    Link,
     Node,
     NodeGeometry,
+    OutageCurve,
     Scheme,
     SystemConfig,
     evaluate_outage,
@@ -142,6 +145,9 @@ def test_signal_model_table():
     # mean power pt_linear * gain / loss, loss = distance**pathloss_exp
     assert signal_model(cfg, Scheme.HD_OMA, Node.GS).desired.mean_power(90.0) == 10.0
     assert len(signal_model(suburban(epsilon=0.0), Scheme.FD_NOMA, Node.GS).interferers) == 1
+    # the estimation error: exponential power, a unit-mean K = 0 link scaled by epsilon
+    error = signal_model(cfg, Scheme.FD_NOMA, Node.GS).interferers[1]
+    assert error == Link(RicianShadowedParams(1.0, 0.0, 1.0), cfg.epsilon, 1.0)
 
 
 def test_zero_rate_never_outages():
@@ -170,6 +176,27 @@ def test_infinite_threshold_guard_probability_one():
         assert result.probability == 1.0
         assert math.isinf(result.threshold_used)
         assert result.converged
+
+
+@pytest.mark.parametrize("r_oma", [0.2, 0.0])  # 0.0: a zero threshold
+def test_underflowing_power_is_certain_outage(r_oma):
+    # 10^(-400) underflows to 0: only noise is left, as Monte Carlo reads it
+    cfg = suburban(pt_db=-4000.0, r_oma=r_oma)
+    for scheme, node in ALL_PAIRS:
+        result = OutageCurve(cfg, scheme, node).at(-4000.0)
+        assert (result.probability, result.converged) == (1.0, True)
+        assert evaluate_outage(cfg, scheme, node) == result
+        mc = mc_outage(cfg, scheme, node, McSettings(num_samples=1000, seed=4))
+        assert mc.probability == result.probability
+
+
+@pytest.mark.parametrize("pt_db", [-200.0, -300.0])
+def test_overflowing_series_term_raises_instead_of_a_partial_sum(pt_db):
+    # the truth and Monte Carlo read 1; the finite terms alone read 0 or 1
+    cfg = suburban()
+    for scheme, node in ALL_PAIRS:
+        with pytest.raises(ArithmeticError, match=r"order \d+"):
+            OutageCurve(cfg, scheme, node).at(pt_db)
 
 
 def test_fd_uav_degenerate_collapse_to_cdf():

@@ -8,7 +8,7 @@ import pytest
 
 import fdnoma.cli
 from fdnoma.cli import main
-from fdnoma.montecarlo import McSettings, mc_outage, mc_outage_curve
+from fdnoma.montecarlo import McSettings, mc_outage, mc_outage_curves
 from fdnoma.outage import Node, OutageCurve, Scheme, evaluate_outage
 from fdnoma.specfun import SeriesConvergenceError
 from fdnoma.scenario import (
@@ -239,11 +239,12 @@ def test_sweep_mc_columns_equal_standalone_curves():
     grid = spec.power_grid()
     for scheme in Scheme:
         for node in Node:
-            rows = [r for r in table.rows if (r.scheme, r.node) == (scheme, node)]
-            curve = mc_outage_curve(cfg, scheme, node, grid, mc)
+            pair = (scheme, node)
+            rows = [r for r in table.rows if (r.scheme, r.node) == pair]
+            curve = mc_outage_curves(cfg, [pair], grid, mc)[pair]
             assert [(r.outage_mc, r.mc_se) for r in rows] == [
                 (est.probability, est.std_error) for est in curve
-            ], (scheme, node)
+            ], pair
 
 
 def test_sweep_spec_validation():
@@ -500,3 +501,29 @@ def test_mc_sweep_at_underflowing_power_is_certain_outage():
     )
     table = run_sweep(cfg, spec)
     assert [(r.outage_mc, r.mc_se) for r in table.rows] == [(1.0, 0.0)] * 9
+
+
+def test_cli_point_at_underflowing_power_is_certain_outage(capsys):
+    for scheme in Scheme:
+        for node in Node:
+            args = ["point", "--config", REFERENCE, "--scheme", scheme.value,
+                    "--node", node.value, "--pt", "-4000"]
+            assert main(args) == 0
+            out = capsys.readouterr().out
+            assert out == f"{scheme.value},{node.value},-4000,1,true,,\n"
+
+
+def test_cli_sweep_fails_rows_whose_series_overflows(tmp_path, capsys):
+    # at -300 dB every pair's leading series terms leave double range: the
+    # rows fail with that reason instead of reading a partial sum
+    sweep = "\n[sweep]\npt_start_db = -300\npt_stop_db = -300\npt_step_db = 1\n"
+    path = write(tmp_path, MINIMAL + sweep)
+    out = tmp_path / "low.csv"
+    assert main(["sweep", "--config", path, "--out", str(out), "--mc", "--samples", "2000"]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("warning: 9 row(s) failed to evaluate (first: fd_noma gs at -300 dB: ")
+    assert "OverflowError: series term of order" in err
+    lines = out.read_text(encoding="utf-8").splitlines()[1:]
+    assert len(lines) == 9
+    for line in lines:
+        assert line.split(",")[3:] == ["nan", "false", "1", "0"]
