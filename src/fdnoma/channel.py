@@ -220,6 +220,8 @@ class TruncatedSeries:
             return [0.0] * (len(log_fact) - 1)
         acc = [-lf for lf in log_fact]
         for shape, mean in zip(self._shapes, interferer_means):
+            if mean == 0.0:
+                continue  # moments 0 past order 0: the convolution's identity
             log_mean = math.log(mean)
             seq = [order * log_mean + s for order, s in enumerate(shape)]
             acc = [
@@ -300,12 +302,25 @@ def sample_rician_shadowed(
     are taken in the order G, c_r, c_i.  At K = 0 there is no line of
     sight and X is exponential with the mean power: one exponential draw
     replaces the two Gaussians.
+
+    X is built in place from standard gamma and normal draws, scaled as
+    numpy's `gamma(m, s)` and `normal(0, s)` scale them (s times the
+    standard draw), so it equals the same generator's
+    (sqrt(gamma(m, Omega/m)) + normal(0, s))^2 + normal(0, s)^2 bit for bit.
     """
     if p.k_factor == 0:
         return rng.exponential(p.mean_power, size)
     omega = p.mean_power * p.k_factor / (1.0 + p.k_factor)
     scale = math.sqrt(p.mean_power / (1.0 + p.k_factor) / 2.0)
-    los_amp = np.sqrt(rng.gamma(p.m, omega / p.m, size))
-    c_r = rng.normal(0.0, scale, size)
-    c_i = rng.normal(0.0, scale, size)
-    return np.square(los_amp + c_r) + np.square(c_i)
+    x = rng.standard_gamma(p.m, size)
+    x *= omega / p.m
+    np.sqrt(x, out=x)
+    c = rng.standard_normal(size)  # c_r
+    c *= scale
+    x += c
+    np.square(x, out=x)
+    rng.standard_normal(out=c)  # c_i, into the same buffer
+    c *= scale
+    np.square(c, out=c)
+    x += c
+    return x

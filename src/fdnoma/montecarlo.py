@@ -12,12 +12,13 @@ Every link's mean power is linear in transmit power, so each sample has
 one power-free SINR margin Z (see `_margin`), and the sample is in outage
 at power pt exactly when Z <= gamma / pt.  One draw of unit-mean fading
 therefore serves a whole power grid: each batch forms Z once per (scheme,
-node) pair and counts every power point from one sorted search of Z into
-the thresholds gamma / pt (common random numbers).  Each batch gets an
-independent substream derived from (seed, batch index) that draws the
-desired link first, so pairs with the same desired fading share that draw
-(`mc_outage_curves`), and an estimate depends only on (config, scheme,
-node, power, settings), not on the other pairs or points of the sweep.
+node) pair, sorts Z once and finds every threshold gamma / pt in it
+(common random numbers).  Each batch gets an independent substream
+derived from (seed, batch index) that draws the desired link first, then
+the interferers; each distinct sequence of link laws is drawn once per
+batch (`mc_outage_curves`), and an estimate depends only on (config,
+scheme, node, power, settings), not on the other pairs or points of the
+sweep.
 Samples within a point are independent, so its standard error is the
 binomial sqrt(p (1 - p) / n).  Points of one curve share their draws and
 are therefore correlated; each point's standard error is still valid on
@@ -34,7 +35,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .channel import RicianShadowedParams, sample_rician_shadowed
+from .channel import sample_rician_shadowed
 from .outage import Node, Scheme, SignalModel, SystemConfig, signal_model
 
 __all__ = ["McSettings", "McEstimate", "mc_outage", "mc_outage_curves"]
@@ -109,15 +110,11 @@ def _margin(
 def _outage_counts(margin: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     """Samples with margin <= threshold, for every threshold at once.
 
-    A sample is in outage at every threshold from the first one not below
-    its margin on, so one sorted search and a cumulative histogram give
-    all the counts; ties count as outage.
+    Sorts `margin` in place, then finds every threshold in it: the count is
+    its right insertion point, so ties count as outage.
     """
-    order = np.argsort(thresholds, kind="stable")
-    first = np.searchsorted(thresholds[order], margin, side="left")
-    counts = np.empty(len(thresholds), dtype=np.int64)
-    counts[order] = np.cumsum(np.bincount(first, minlength=len(thresholds) + 1))[:-1]
-    return counts
+    margin.sort()
+    return np.searchsorted(margin, thresholds, side="right")
 
 
 def _estimate(count: int, num_samples: int) -> McEstimate:
@@ -136,41 +133,39 @@ def mc_outage_curves(
     floor) by simulation.
 
     Batch i of every pair draws from the substream keyed on (seed, i): the
-    desired link first, then each interferer in model order.  Pairs whose
-    desired links share a fading law therefore draw it once per batch;
-    the generator's state after that draw is restored before each pair
-    draws its interferers, so every pair sees exactly the streams it would
-    see alone.  Each pair's draws serve its whole grid through the margin
-    of `_margin`, so neither the drawing nor the per-sample arithmetic
-    grows with the grid.  Ties (SINR exactly at threshold) count as
-    outage, matching the event definition used by the closed form; the
-    event has probability zero under the continuous fading model.  A power
+    desired link first, then each interferer in model order.  Each draw is
+    keyed on the sequence of fading laws drawn so far, and each distinct
+    sequence of link laws is drawn once per batch, from the generator
+    state saved after its prefix, so pairs share every draw they would
+    make alike and each sees exactly the streams it would see alone.  Each
+    pair's draws serve its whole grid through the margin of `_margin`:
+    it sorts Z once and finds every threshold in it, so neither the drawing
+    nor the per-sample arithmetic grows with the grid.  Ties (SINR exactly
+    at threshold) count as outage, matching the event definition used by
+    the closed form; the event has probability zero under the continuous
+    fading model.  A power
     too large for a float reads as the noise-free limit, one that
     underflows to 0 as certain outage.  The transmit power `cfg.p_t`
     itself is not used.
     """
     models = {pair: signal_model(cfg, *pair) for pair in pairs}
-    groups: dict[RicianShadowedParams, list[tuple[Scheme, Node]]] = {}
-    for pair, model in models.items():
-        groups.setdefault(model.desired.fading, []).append(pair)
     thresholds = {pair: _thresholds(model.gamma, pt_grid_db) for pair, model in models.items()}
     counts = {pair: np.zeros(len(pt_grid_db), dtype=np.int64) for pair in models}
     for index, start in enumerate(range(0, mc.num_samples, _BATCH)):
         size = min(_BATCH, mc.num_samples - start)
-        for fading, members in groups.items():
-            rng = _batch_rng(mc.seed, index)
-            desired = sample_rician_shadowed(fading, rng, size)
-            after_desired = rng.bit_generator.state
-            for pair in members:
-                rng.bit_generator.state = after_desired
-                model = models[pair]
-                interference = [
-                    sample_rician_shadowed(link.fading, rng, size)
-                    for link in model.interferers
-                ]
-                counts[pair] += _outage_counts(
-                    _margin(model, desired, interference), thresholds[pair]
-                )
+        rng = _batch_rng(mc.seed, index)
+        # link-law prefix -> (draw of its last law, generator state after it)
+        draws = {(): (None, rng.bit_generator.state)}
+        for pair, model in models.items():
+            key, unit = (), []
+            for link in (model.desired,) + model.interferers:
+                prefix, key = key, key + (link.fading,)
+                if key not in draws:
+                    rng.bit_generator.state = draws[prefix][1]
+                    draw = sample_rician_shadowed(link.fading, rng, size)
+                    draws[key] = (draw, rng.bit_generator.state)
+                unit.append(draws[key][0])
+            counts[pair] += _outage_counts(_margin(model, unit[0], unit[1:]), thresholds[pair])
     return {
         pair: [_estimate(int(count), mc.num_samples) for count in counts[pair]]
         for pair in models

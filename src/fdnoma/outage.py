@@ -314,13 +314,15 @@ class OutageCurve:
     def at(self, pt_db: float) -> OutageResult:
         """Outage probability at transmit power pt_db (dB over the noise floor).
 
-        A power that underflows to 0 leaves only noise: certain outage, as
-        in Monte Carlo, also at a zero threshold.
+        A power whose desired mean underflows to 0 (10^(pt/10) is 0, or
+        subnormal enough) leaves only noise: certain outage, as in Monte
+        Carlo, also at a zero threshold.  An interferer mean that underflows
+        to 0 drops out of the series.
         """
         pt_linear = 10.0 ** (pt_db / 10.0)
-        if pt_linear == 0.0:
-            return OutageResult(self.scheme, self.node, 1.0, self.threshold, True)
         desired, *interferers = [link.mean_power(pt_linear) for link in self._links]
+        if desired == 0.0:
+            return OutageResult(self.scheme, self.node, 1.0, self.threshold, True)
         result = self._series.at(desired, interferers)
         return OutageResult(
             self.scheme, self.node, result.value, self.threshold, result.converged

@@ -358,6 +358,22 @@ def test_sampler_k_zero_is_one_numpy_exponential_draw():
         assert ours.random() == numpys.random()
 
 
+@pytest.mark.parametrize("k", [0.5, 10.0])
+@pytest.mark.parametrize("m", [0.5, 3.0, 7.3, 10.0])
+def test_sampler_is_numpys_gamma_normal_normal_stream(k, m):
+    # the in-place construction equals the textbook one from numpy's scaled
+    # draws bit for bit, and leaves the generator where that one does
+    p = RicianShadowedParams(1.7, k, m)
+    omega = p.mean_power * k / (1.0 + k)
+    s = math.sqrt(p.mean_power / (1.0 + k) / 2.0)
+    ours, numpys = rng_for(11), rng_for(11)
+    x = sample_rician_shadowed(p, ours, 5000)
+    los = np.sqrt(numpys.gamma(m, omega / m, 5000))
+    want = np.square(los + numpys.normal(0, s, 5000)) + np.square(numpys.normal(0, s, 5000))
+    assert np.array_equal(x, want)
+    assert ours.bit_generator.state == numpys.bit_generator.state
+
+
 def test_sampler_large_m_approaches_rician():
     # m -> inf freezes the line-of-sight power: X becomes a scaled
     # noncentral chi-square with 2 dof

@@ -3,9 +3,12 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from conftest import direct_outage_count, suburban, threshold_equivalence_check
+import fdnoma.montecarlo
+
+from conftest import direct_outage_count, suburban, threshold_equivalence_check, unit_link
 from fdnoma.channel import RicianShadowedParams, TruncatedSeries, sample_rician_shadowed
 from fdnoma.montecarlo import (
     McSettings,
@@ -182,3 +185,54 @@ def test_curve_equals_points_on_unsorted_grid_with_duplicates():
         assert curve == points
         assert curve[0] == curve[3]
         assert mc_outage_curves(cfg, [pair], [], settings) == {pair: []}
+
+
+ALL_PAIRS = [(scheme, node) for scheme in Scheme for node in Node]
+
+
+def heavy_uav3_uplink():
+    # m_13 = 3: fd_noma/uav3 shares fd_noma/gs's desired draw (K = 10,
+    # m = 10), but its interferer's law differs from the SI link's
+    cfg = suburban()
+    return replace(cfg, fading=replace(cfg.fading, link_13=unit_link(10.0, 3.0)))
+
+
+@pytest.mark.parametrize("cfg,per_batch", [(suburban(), 5), (heavy_uav3_uplink(), 6)])
+def test_each_distinct_link_law_sequence_is_drawn_once_per_batch(monkeypatch, cfg, per_batch):
+    # reference laws per batch: K=10,m=10 | +SI (fd_noma/uav3's uplink too)
+    # | +SI+error | K=10,m=3 | +uplink; m_13 = 3 adds K=10,m=10 | +K=10,m=3
+    sizes = []
+
+    def counting(p, rng, size):
+        sizes.append(size)
+        return sample_rician_shadowed(p, rng, size)
+
+    monkeypatch.setattr(fdnoma.montecarlo, "sample_rician_shadowed", counting)
+    grid = [0.0, 15.0, 40.0]
+    settings = McSettings(num_samples=300_000, seed=9)  # two batches
+    together = mc_outage_curves(cfg, ALL_PAIRS, grid, settings)
+    assert sizes == [1 << 18] * per_batch + [300_000 - (1 << 18)] * per_batch
+    for pair in ALL_PAIRS:
+        sizes.clear()
+        alone = mc_outage_curves(cfg, [pair], grid, settings)[pair]
+        assert len(sizes) == 2 * (1 + len(signal_model(cfg, *pair).interferers)), pair
+        # sharing draws leaves every pair the stream it sees alone
+        assert together[pair] == alone, pair
+
+
+@pytest.mark.parametrize(
+    "thresholds",
+    [
+        [0.5, -1.0, 2.0],  # exactly on sampled margins: ties
+        [0.0, math.inf, -math.inf],
+        [2.0, 0.5, 2.0, -1.0, 0.5, 7.0],  # unsorted, duplicates
+        [],
+    ],
+)
+def test_outage_counts_equal_direct_counts(thresholds):
+    rng = np.random.default_rng(31)
+    margin = np.concatenate([rng.normal(size=997), [0.5, 0.5, -1.0, 2.0, 0.0, -0.0]])
+    rng.shuffle(margin)
+    t = np.array(thresholds, dtype=float)
+    want = [np.count_nonzero(margin <= bound) for bound in t]
+    assert _outage_counts(margin.copy(), t).tolist() == want

@@ -1,6 +1,7 @@
 """Unit tests for thresholds, the series evaluator and the scheme evaluators."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -188,6 +189,35 @@ def test_underflowing_power_is_certain_outage(r_oma):
         assert evaluate_outage(cfg, scheme, node) == result
         mc = mc_outage(cfg, scheme, node, McSettings(num_samples=1000, seed=4))
         assert mc.probability == result.probability
+
+
+def test_subnormal_power_band_reads_certain_outage_or_a_named_overflow():
+    # 10^(pt/10) is subnormal here, so a mean power can underflow to 0
+    # while pt itself does not
+    cfg = suburban()
+    for scheme, node in ALL_PAIRS:
+        curve = OutageCurve(cfg, scheme, node)
+        for pt_db in np.arange(-3240.0, -3224.9, 0.5):
+            try:
+                result = curve.at(float(pt_db))
+            except OverflowError as error:
+                assert re.search(r"order \d+", str(error))
+                continue
+            assert 0.0 <= result.probability <= 1.0
+            if result.probability == 1.0:
+                mc = mc_outage(replace(cfg, p_t=float(pt_db)), scheme, node,
+                               McSettings(num_samples=1000, seed=4))
+                assert mc.probability == 1.0, (scheme, node, pt_db)
+
+
+def test_underflowing_interferer_mean_drops_out_of_the_series():
+    desired = RicianShadowedParams(0.8, 10.0, 3.0)
+    interferer = RicianShadowedParams(1.0, 10.0, 10.0)
+    lhs = TruncatedSeries(desired, [interferer], 0.1, 25).at(0.8, [0.0])
+    assert lhs == TruncatedSeries(desired, [], 0.1, 25).at(0.8, [])
+    # epsilon = 1e-320 puts the estimation error's mean at 0 by -40 dB
+    tiny = OutageCurve(suburban(epsilon=1e-320), Scheme.FD_NOMA, Node.GS).at(-40.0)
+    assert tiny == OutageCurve(suburban(epsilon=0.0), Scheme.FD_NOMA, Node.GS).at(-40.0)
 
 
 @pytest.mark.parametrize("pt_db", [-200.0, -300.0])

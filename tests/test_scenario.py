@@ -28,6 +28,7 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 # `fdnoma sweep --config configs/reference.ini` output, kept byte for byte
 REFERENCE_CSV = os.path.join(DATA, "reference_cf.csv")
 REFERENCE_MC_CSV = os.path.join(DATA, "reference_mc.csv")
+REFERENCE_MC_2BATCH_CSV = os.path.join(DATA, "reference_mc_2batch.csv")
 
 MINIMAL = """
 [geometry]
@@ -398,6 +399,16 @@ def test_cli_reference_mc_sweep_matches_golden_csv(tmp_path):
     args = ["--config", REFERENCE, "--out", str(out), "--mc", "--samples", "65536", "--seed", "7"]
     assert main(["sweep"] + args) == 0
     with open(REFERENCE_MC_CSV, "rb") as handle:
+        assert out.read_bytes() == handle.read()
+
+
+def test_cli_reference_two_batch_mc_sweep_matches_golden_csv(tmp_path):
+    # `fdnoma sweep --config configs/reference.ini --mc --samples 300000 --seed 7`:
+    # a full batch and a short one, so it pins the stream across batches
+    out = tmp_path / "reference_mc_2batch.csv"
+    args = ["--config", REFERENCE, "--out", str(out), "--mc", "--samples", "300000", "--seed", "7"]
+    assert main(["sweep"] + args) == 0
+    with open(REFERENCE_MC_2BATCH_CSV, "rb") as handle:
         assert out.read_bytes() == handle.read()
 
 
