@@ -82,11 +82,11 @@ def _run_sweep(args) -> int:
             f"{first.scheme.value} {first.node.value} at {first.pt_db:g} dB: {first.error})",
             file=sys.stderr,
         )
-    if args.strict and any(not row.converged for row in table.rows):
-        bad = [row for row in table.rows if not row.converged]
+    bad = [row for row in table.rows if not row.converged]
+    if args.strict and bad:
         print(
             f"error: {len(bad)} row(s) did not converge "
-            f"(first: {bad[0].scheme.value} {bad[0].node.value} at {bad[0].pt_db} dB)",
+            f"(first: {bad[0].scheme.value} {bad[0].node.value} at {bad[0].pt_db:g} dB)",
             file=sys.stderr,
         )
         return 2

@@ -317,12 +317,20 @@ class OutageCurve:
         A power whose desired mean underflows to 0 (10^(pt/10) is 0, or
         subnormal enough) leaves only noise: certain outage, as in Monte
         Carlo, also at a zero threshold.  An interferer mean that underflows
-        to 0 drops out of the series.
+        to 0 drops out of the series.  A power at which 10^(pt/10) or a
+        link's mean power overflows raises an OverflowError that names it.
         """
-        pt_linear = 10.0 ** (pt_db / 10.0)
+        try:
+            pt_linear = 10.0 ** (pt_db / 10.0)
+        except OverflowError:
+            pt_linear = math.inf
         desired, *interferers = [link.mean_power(pt_linear) for link in self._links]
         if desired == 0.0:
             return OutageResult(self.scheme, self.node, 1.0, self.threshold, True)
+        if not all(map(math.isfinite, (desired, *interferers))):
+            raise OverflowError(
+                f"transmit power {pt_db:g} dB is out of float range (a link's mean power overflows)"
+            )
         result = self._series.at(desired, interferers)
         return OutageResult(
             self.scheme, self.node, result.value, self.threshold, result.converged

@@ -3,8 +3,10 @@
 Configs are flat INI-style key/value files; every parameter of the
 reference suburban scenario has a default, so a minimal config only has to
 supply the two inter-UAV distances (they have no published value and must
-be an explicit modelling choice).  dB values are converted to linear
-exactly once, at load time, inside the constructed SystemConfig.
+be an explicit modelling choice).  The constructed SystemConfig keeps its
+levels in dB and dBm as written; its `pt_linear` and `si_power_ratio`
+properties convert them to linear on every access, and the evaluators
+convert each power point of a sweep themselves.
 """
 
 from __future__ import annotations
@@ -41,13 +43,17 @@ CSV_HEADER = "scheme,node,pt_db,outage_cf,converged,outage_mc,mc_se"
 
 DEFAULT_MC_SEED = 20260809
 
-# Reference suburban scenario; inter-UAV distances are deliberately absent
-# and must be provided by every config.
-_DEFAULTS: dict[str, dict[str, str]] = {
+# Every config key with the text of its default, section by section: the
+# reference suburban scenario.  None marks a mandatory key: the inter-UAV
+# distances have no published value and must be set by every config.  The
+# geometry keys are the fields of NodeGeometry.
+_KEYS: dict[str, dict[str, str | None]] = {
     "geometry": {
         "d_1g": "3.0",
         "d_g2": "2.0",
         "d_g3": "3.0",
+        "d_12": None,
+        "d_13": None,
         "pathloss_exp": "2.0",
     },
     "fading": {
@@ -86,7 +92,7 @@ _DEFAULTS: dict[str, dict[str, str]] = {
     },
 }
 
-_MANDATORY = (("geometry", "d_12"), ("geometry", "d_13"))
+_KIND_NAMES = {float: "a number", int: "an integer", bool: "a boolean"}
 
 # A retired key that older configs still set; only its old default loads.
 _RETIRED = ("sweep", "antithetic")
@@ -143,61 +149,53 @@ class SweepTable:
     rows: tuple[SweepRow, ...]
 
 
-def _merge_defaults(parser: configparser.ConfigParser) -> dict[str, dict[str, str]]:
-    merged = {section: dict(values) for section, values in _DEFAULTS.items()}
+def _parse(kind: type, text: str, name: str):
+    """`text` as a float, int or bool (the words ConfigParser accepts);
+    a ConfigError names the key `name`."""
+    try:
+        if kind is bool:
+            return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+        return kind(text)
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"{name} is not {_KIND_NAMES[kind]}: {text!r}") from exc
+
+
+def _read_text(parser: configparser.ConfigParser) -> dict[str, dict[str, str]]:
+    """Each section's key texts: the config's value, else the default."""
+    if parser.defaults():
+        raise ConfigError("unknown config section [DEFAULT]")
+    texts = {section: dict(keys) for section, keys in _KEYS.items()}
     for section in parser.sections():
-        if section not in merged:
+        if section not in texts:
             raise ConfigError(f"unknown config section [{section}]")
         for key, value in parser.items(section):
             if (section, key) == _RETIRED:
-                if _get_bool({key: value}, section, key):
+                if _parse(bool, value, f"{section}.{key}"):
                     raise ConfigError(
                         f"{section}.{key} = {value.strip()} is no longer supported: "
                         "antithetic sampling was removed; delete the key"
                     )
                 continue
-            if key not in merged[section] and (section, key) not in _MANDATORY:
+            if key not in texts[section]:
                 raise ConfigError(f"unknown config key {section}.{key}")
-            merged[section][key] = value
-    for section, key in _MANDATORY:
-        if key not in merged[section]:
-            raise ConfigError(
-                f"mandatory key {section}.{key} is missing (inter-UAV distances "
-                "have no default and must be set explicitly)"
-            )
-    return merged
-
-
-def _get_float(section: dict[str, str], section_name: str, key: str) -> float:
-    try:
-        return float(section[key])
-    except ValueError as exc:
-        raise ConfigError(f"{section_name}.{key} is not a number: {section[key]!r}") from exc
-
-
-def _get_int(section: dict[str, str], section_name: str, key: str) -> int:
-    try:
-        return int(section[key])
-    except ValueError as exc:
-        raise ConfigError(f"{section_name}.{key} is not an integer: {section[key]!r}") from exc
-
-
-def _get_bool(section: dict[str, str], section_name: str, key: str) -> bool:
-    value = section[key].strip().lower()
-    if value in ("true", "yes", "on", "1"):
-        return True
-    if value in ("false", "no", "off", "0"):
-        return False
-    raise ConfigError(f"{section_name}.{key} is not a boolean: {section[key]!r}")
+            texts[section][key] = value
+    missing = [f"{s}.{k}" for s, keys in texts.items() for k, v in keys.items() if v is None]
+    if missing:
+        raise ConfigError(
+            f"mandatory key {missing[0]} is missing (inter-UAV distances "
+            "have no default and must be set explicitly)"
+        )
+    return texts
 
 
 def load_config(path: str) -> tuple[SystemConfig, SweepSpec]:
     """Parse and validate a scenario file.
 
-    Unknown sections or keys are rejected; omitted optional keys take the
-    reference-scenario defaults; the inter-UAV distances d_12 and d_13 are
-    mandatory.  A retired key is accepted only at its old default value.
-    Raises ConfigError with the offending key or invariant.
+    Unknown sections (`[DEFAULT]` included) or keys are rejected; omitted
+    optional keys take the reference-scenario defaults; the inter-UAV
+    distances d_12 and d_13 are mandatory.  A retired key is accepted only
+    at its old default value.  Raises ConfigError with the offending key or
+    invariant.
     """
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
@@ -207,59 +205,41 @@ def load_config(path: str) -> tuple[SystemConfig, SweepSpec]:
             parser.read_file(handle, source=path)
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
+    texts = _read_text(parser)
 
-    merged = _merge_defaults(parser)
-    geo_raw, fad_raw, sys_raw, sweep_raw = (
-        merged["geometry"], merged["fading"], merged["system"], merged["sweep"],
-    )
+    def read(section: str, key: str, kind: type = float):
+        return _parse(kind, texts[section][key], f"{section}.{key}")
 
     try:
-        geometry = NodeGeometry(
-            d_1g=_get_float(geo_raw, "geometry", "d_1g"),
-            d_g2=_get_float(geo_raw, "geometry", "d_g2"),
-            d_g3=_get_float(geo_raw, "geometry", "d_g3"),
-            d_12=_get_float(geo_raw, "geometry", "d_12"),
-            d_13=_get_float(geo_raw, "geometry", "d_13"),
-            pathloss_exp=_get_float(geo_raw, "geometry", "pathloss_exp"),
-        )
+        geometry = NodeGeometry(**{key: read("geometry", key) for key in texts["geometry"]})
 
         def link(tag: str) -> RicianShadowedParams:
-            return RicianShadowedParams(
-                mean_power=1.0,
-                k_factor=_get_float(fad_raw, "fading", f"k_{tag}"),
-                m=_get_float(fad_raw, "fading", f"m_{tag}"),
-            )
+            return RicianShadowedParams(1.0, read("fading", f"k_{tag}"), read("fading", f"m_{tag}"))
 
-        fading = FadingSet(
-            link_1g=link("1g"),
-            link_si=link("si"),
-            link_g2=link("g2"),
-            link_g3=link("g3"),
-            link_12=link("12"),
-            link_13=link("13"),
-        )
+        tags = [key[2:] for key in texts["fading"] if key.startswith("k_")]
+        fading = FadingSet(**{f"link_{tag}": link(tag) for tag in tags})
         cfg = SystemConfig(
-            p_t=_get_float(sys_raw, "system", "pt_db"),
-            r_oma=_get_float(sys_raw, "system", "r_oma"),
-            a_gs2=_get_float(sys_raw, "system", "a_gs2"),
-            beta=_get_float(sys_raw, "system", "beta"),
-            phase_noise_power=_get_float(sys_raw, "system", "phase_noise_dbm"),
-            noise_power=_get_float(sys_raw, "system", "noise_dbm"),
-            epsilon=_get_float(sys_raw, "system", "epsilon"),
-            k_tr=_get_int(sys_raw, "system", "k_tr"),
+            p_t=read("system", "pt_db"),
+            r_oma=read("system", "r_oma"),
+            a_gs2=read("system", "a_gs2"),
+            beta=read("system", "beta"),
+            phase_noise_power=read("system", "phase_noise_dbm"),
+            noise_power=read("system", "noise_dbm"),
+            epsilon=read("system", "epsilon"),
+            k_tr=read("system", "k_tr", int),
             geometry=geometry,
             fading=fading,
         )
         spec = SweepSpec(
-            pt_start_db=_get_float(sweep_raw, "sweep", "pt_start_db"),
-            pt_stop_db=_get_float(sweep_raw, "sweep", "pt_stop_db"),
-            pt_step_db=_get_float(sweep_raw, "sweep", "pt_step_db"),
-            schemes=_parse_enum_list(sweep_raw["schemes"], Scheme, "sweep.schemes"),
-            nodes=_parse_enum_list(sweep_raw["nodes"], Node, "sweep.nodes"),
-            with_mc=_get_bool(sweep_raw, "sweep", "with_mc"),
+            pt_start_db=read("sweep", "pt_start_db"),
+            pt_stop_db=read("sweep", "pt_stop_db"),
+            pt_step_db=read("sweep", "pt_step_db"),
+            schemes=_parse_enum_list(texts["sweep"]["schemes"], Scheme, "sweep.schemes"),
+            nodes=_parse_enum_list(texts["sweep"]["nodes"], Node, "sweep.nodes"),
+            with_mc=read("sweep", "with_mc", bool),
             mc=McSettings(
-                num_samples=_get_int(sweep_raw, "sweep", "mc_samples"),
-                seed=_get_int(sweep_raw, "sweep", "mc_seed"),
+                num_samples=read("sweep", "mc_samples", int),
+                seed=read("sweep", "mc_seed", int),
             ),
         )
     except ConfigError:

@@ -1,7 +1,9 @@
 """Config parsing, sweep running, CSV/plot emission and the CLI."""
 
+import configparser
 import math
 import os
+import re
 from dataclasses import replace
 
 import pytest
@@ -40,6 +42,32 @@ d_13 = 3.0
 def write(tmp_path, text, name="scenario.ini"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def read_reference():
+    parser = configparser.ConfigParser(interpolation=None)
+    with open(REFERENCE, encoding="utf-8") as handle:
+        parser.read_file(handle)
+    return parser
+
+
+def reference_keys():
+    """Every (section, key) that configs/reference.ini sets: all of them."""
+    parser = read_reference()
+    return [(section, key) for section in parser.sections() for key in parser[section]]
+
+
+def reference_with(tmp_path, section, key, value=None):
+    """configs/reference.ini with one key set to `value`, or left out."""
+    parser = read_reference()
+    if value is None:
+        parser.remove_option(section, key)
+    else:
+        parser.set(section, key, value)
+    path = tmp_path / "scenario.ini"
+    with open(path, "w", encoding="utf-8") as handle:
+        parser.write(handle)
     return str(path)
 
 
@@ -87,6 +115,40 @@ def test_unknown_section_rejected(tmp_path):
     path = write(tmp_path, MINIMAL + "\n[turbo]\nx = 1\n")
     with pytest.raises(ConfigError, match="turbo"):
         load_config(path)
+
+
+def test_default_section_rejected(tmp_path):
+    # configparser hands a [DEFAULT] key to every section: the first file
+    # would take geometry.d_13 from it, the second fail naming geometry.k_tr
+    for text in ("[DEFAULT]\nd_13 = 3.0\n\n[geometry]\nd_12 = 2.0\n",
+                 "[DEFAULT]\nk_tr = 40\n" + MINIMAL):
+        with pytest.raises(ConfigError, match=re.escape("unknown config section [DEFAULT]")):
+            load_config(write(tmp_path, text))
+
+
+def test_reference_config_sets_every_key():
+    # so the two tests below cover the loader's whole key table
+    from fdnoma.scenario import _KEYS
+
+    table = [(section, key) for section, keys in _KEYS.items() for key in keys]
+    assert reference_keys() == table + [("sweep", "antithetic")]
+
+
+@pytest.mark.parametrize("section,key", reference_keys())
+def test_malformed_value_names_its_key(tmp_path, section, key):
+    with pytest.raises(ConfigError, match=re.escape(f"{section}.{key}")):
+        load_config(reference_with(tmp_path, section, key, "x"))
+
+
+@pytest.mark.parametrize("section,key", reference_keys())
+def test_left_out_key_takes_its_default_or_is_named(tmp_path, section, key):
+    path = reference_with(tmp_path, section, key)
+    if (section, key) in (("geometry", "d_12"), ("geometry", "d_13")):
+        with pytest.raises(ConfigError, match=f"mandatory key {section}.{key} is missing"):
+            load_config(path)
+    else:
+        # reference.ini repeats the library defaults
+        assert load_config(path) == load_config(REFERENCE)
 
 
 def test_invariant_violation_named(tmp_path):
@@ -377,7 +439,9 @@ def test_cli_strict_nonconvergence_exit_code(tmp_path, capsys):
     assert main(["sweep", "--config", str(scenario), "--out", str(out)]) == 0
     code = main(["sweep", "--config", str(scenario), "--out", str(out), "--strict"])
     assert code == 2
-    assert "converge" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "converge" in err
+    assert err.endswith("(first: fd_noma uav3 at 0 dB)\n")
 
 
 def test_cli_point_invalid_scheme():
@@ -497,12 +561,31 @@ def test_cli_mc_sweep_at_overflowing_power(tmp_path, capsys):
     path = write(tmp_path, MINIMAL + sweep + "schemes = fd_noma\nnodes = gs\n")
     out = tmp_path / "extreme.csv"
     assert main(["sweep", "--config", path, "--out", str(out), "--mc", "--samples", "2000"]) == 0
-    assert "1 row(s) failed" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "1 row(s) failed" in err
+    assert "fd_noma gs at 3100 dB: OverflowError: transmit power 3100 dB" in err
     lines = out.read_text(encoding="utf-8").splitlines()[1:]
     assert [line.split(",")[2] for line in lines] == ["3000", "3050", "3100"]
     for line in lines:
         mc, se = (float(v) for v in line.split(",")[5:])
         assert math.isfinite(mc) and math.isfinite(se) and 0.0 <= mc <= 1.0
+
+
+@pytest.mark.parametrize(
+    "system,scheme,pt",
+    [
+        ("", "hd_oma", "3100"),  # 10^(pt/10) overflows
+        ("phase_noise_dbm = -100\n", "fd_noma", "3070"),  # the self-interference power does
+    ],
+)
+def test_cli_point_at_overflowing_power(tmp_path, capsys, system, scheme, pt):
+    path = write(tmp_path, MINIMAL + "\n[system]\n" + system)
+    args = ["point", "--config", path, "--scheme", scheme, "--node", "gs", "--pt", pt]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert f"transmit power {pt} dB" in captured.err
 
 
 def test_mc_sweep_at_underflowing_power_is_certain_outage():
