@@ -134,8 +134,6 @@ def _alpha_shape_sums(k: float, m: float, k_tr: int) -> list[tuple[float, float]
     for n in range(k_tr + 1):
         signed_logs = []
         for i in range(n + 1):
-            if k == 0.0 and i > 0:
-                break  # (K/(K+m))^i vanishes for i >= 1
             lg = (
                 (math.lgamma(m + i) - math.lgamma(m))
                 - 2.0 * math.lgamma(i + 1)

@@ -70,11 +70,11 @@ def _run_sweep(args) -> int:
     if args.seed is not None:
         mc = replace(mc, seed=args.seed)
     spec = replace(spec, mc=mc, with_mc=spec.with_mc or args.mc)
-    table = run_sweep(cfg, spec)
-    emit_csv(table, args.out)
+    rows = run_sweep(cfg, spec)
+    emit_csv(rows, args.out)
     if args.plot_data:
-        emit_plot_data(table, args.plot_data)
-    failed = [row for row in table.rows if row.error is not None]
+        emit_plot_data(rows, args.plot_data)
+    failed = [row for row in rows if row.error is not None]
     if failed:
         first = failed[0]
         print(
@@ -82,7 +82,7 @@ def _run_sweep(args) -> int:
             f"{first.scheme.value} {first.node.value} at {first.pt_db:g} dB: {first.error})",
             file=sys.stderr,
         )
-    bad = [row for row in table.rows if not row.converged]
+    bad = [row for row in rows if not row.converged]
     if args.strict and bad:
         print(
             f"error: {len(bad)} row(s) did not converge "

@@ -36,7 +36,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .channel import sample_rician_shadowed
-from .outage import Node, Scheme, SignalModel, SystemConfig, signal_model
+from .outage import Node, Scheme, SignalModel, SystemConfig, db_to_linear, signal_model
 
 __all__ = ["McSettings", "McEstimate", "mc_outage", "mc_outage_curves"]
 
@@ -68,19 +68,13 @@ def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
 def _thresholds(gamma: float, pt_grid_db: Sequence[float]) -> np.ndarray:
     """gamma / pt_linear at every power point, the margin's outage bound.
 
-    A power too large for a float is the noise-free limit, bound 0; one
-    that underflows to 0 leaves only noise, so every sample is in outage,
-    bound +inf (also at gamma = 0, where gamma * inf would be NaN).
+    A power too large for a float is the noise-free limit, bound
+    gamma / inf = 0 (gamma is always finite); one that underflows to 0
+    leaves only noise, so every sample is in outage, bound +inf (also at
+    gamma = 0, where gamma * inf would be NaN).
     """
-    bounds = []
-    for pt_db in pt_grid_db:
-        try:
-            pt_linear = 10.0 ** (pt_db / 10.0)
-        except OverflowError:
-            bounds.append(0.0)
-            continue
-        bounds.append(math.inf if pt_linear == 0.0 else gamma / pt_linear)
-    return np.array(bounds, dtype=float)
+    powers = [db_to_linear(pt_db) for pt_db in pt_grid_db]
+    return np.array([math.inf if p == 0.0 else gamma / p for p in powers], dtype=float)
 
 
 def _margin(

@@ -47,6 +47,7 @@ __all__ = [
     "rate_for",
     "sinr_threshold",
     "noma_effective_threshold",
+    "db_to_linear",
     "signal_model",
     "evaluate_outage",
 ]
@@ -154,10 +155,6 @@ class SystemConfig:
             raise ValueError(f"base rate r_oma must be >= 0, got {self.r_oma}")
 
     @property
-    def pt_linear(self) -> float:
-        return 10.0 ** (self.p_t / 10.0)
-
-    @property
     def si_power_ratio(self) -> float:
         """Phase-noise power over noise power, linear."""
         return 10.0 ** ((self.phase_noise_power - self.noise_power) / 10.0)
@@ -209,6 +206,14 @@ def noma_effective_threshold(gamma: float, alloc: float, residual: float) -> flo
     if denom <= 0:
         return math.inf
     return gamma / denom
+
+
+def db_to_linear(pt_db: float) -> float:
+    """10^(pt_db/10), or inf when that overflows a float."""
+    try:
+        return 10.0 ** (pt_db / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -320,10 +325,7 @@ class OutageCurve:
         to 0 drops out of the series.  A power at which 10^(pt/10) or a
         link's mean power overflows raises an OverflowError that names it.
         """
-        try:
-            pt_linear = 10.0 ** (pt_db / 10.0)
-        except OverflowError:
-            pt_linear = math.inf
+        pt_linear = db_to_linear(pt_db)
         desired, *interferers = [link.mean_power(pt_linear) for link in self._links]
         if desired == 0.0:
             return OutageResult(self.scheme, self.node, 1.0, self.threshold, True)

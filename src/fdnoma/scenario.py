@@ -4,9 +4,9 @@ Configs are flat INI-style key/value files; every parameter of the
 reference suburban scenario has a default, so a minimal config only has to
 supply the two inter-UAV distances (they have no published value and must
 be an explicit modelling choice).  The constructed SystemConfig keeps its
-levels in dB and dBm as written; its `pt_linear` and `si_power_ratio`
-properties convert them to linear on every access, and the evaluators
-convert each power point of a sweep themselves.
+levels in dB and dBm as written; its `si_power_ratio` property converts
+them to linear on every access, and the evaluators convert each power
+point of a sweep themselves.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import configparser
 import math
 import os
 from dataclasses import dataclass
+from typing import Sequence
 
 from .channel import RicianShadowedParams
 from .montecarlo import McSettings, mc_outage_curves
@@ -31,7 +32,6 @@ __all__ = [
     "ConfigError",
     "SweepSpec",
     "SweepRow",
-    "SweepTable",
     "load_config",
     "run_sweep",
     "emit_csv",
@@ -122,6 +122,11 @@ class SweepSpec:
             raise ValueError(
                 f"pt_start_db {self.pt_start_db} exceeds pt_stop_db {self.pt_stop_db}"
             )
+        if not math.isfinite((self.pt_stop_db - self.pt_start_db) / self.pt_step_db):
+            raise ValueError(
+                f"pt_start_db {self.pt_start_db}, pt_stop_db {self.pt_stop_db} and "
+                f"pt_step_db {self.pt_step_db} do not give a finite number of power points"
+            )
         if not self.schemes:
             raise ValueError("at least one scheme must be requested")
         if not self.nodes:
@@ -142,11 +147,6 @@ class SweepRow:
     outage_mc: float | None = None
     mc_se: float | None = None
     error: str | None = None  # why the evaluator raised; not written to CSV
-
-
-@dataclass(frozen=True)
-class SweepTable:
-    rows: tuple[SweepRow, ...]
 
 
 def _parse(kind: type, text: str, name: str):
@@ -288,7 +288,7 @@ def _evaluate_curve(
     return out
 
 
-def run_sweep(cfg: SystemConfig, spec: SweepSpec) -> SweepTable:
+def run_sweep(cfg: SystemConfig, spec: SweepSpec) -> tuple[SweepRow, ...]:
     """Evaluate every requested (scheme, node, transmit power) row.
 
     Rows are sorted by (scheme, node, pt).  The closed form of each pair
@@ -323,7 +323,7 @@ def run_sweep(cfg: SystemConfig, spec: SweepSpec) -> SweepTable:
                     error=error,
                 )
             )
-    return SweepTable(tuple(rows))
+    return tuple(rows)
 
 
 def _fmt(value: float) -> str:
@@ -346,24 +346,24 @@ def format_row(row: SweepRow) -> str:
     )
 
 
-def emit_csv(table: SweepTable, path: str) -> None:
-    """Write the sweep as CSV (UTF-8, LF, 10 significant digits)."""
+def emit_csv(rows: Sequence[SweepRow], path: str) -> None:
+    """Write the sweep rows as CSV (UTF-8, LF, 10 significant digits)."""
     lines = [CSV_HEADER]
-    lines.extend(format_row(row) for row in table.rows)
+    lines.extend(format_row(row) for row in rows)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
 
 
-def emit_plot_data(table: SweepTable, path: str) -> None:
+def emit_plot_data(rows: Sequence[SweepRow], path: str) -> None:
     """Write one whitespace-separated `pt_db outage` block per (scheme,
     node) series, blank-line separated, for gnuplot-style tooling."""
     series: dict[tuple[str, str], list[SweepRow]] = {}
-    for row in table.rows:
+    for row in rows:
         series.setdefault((row.scheme.value, row.node.value), []).append(row)
     blocks = []
-    for (scheme, node), rows in sorted(series.items()):
+    for (scheme, node), curve in sorted(series.items()):
         lines = [f"# {scheme} {node}"]
-        lines.extend(f"{_fmt(r.pt_db)} {_fmt(r.outage_cf)}" for r in rows)
+        lines.extend(f"{_fmt(r.pt_db)} {_fmt(r.outage_cf)}" for r in curve)
         blocks.append("\n".join(lines))
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n\n".join(blocks) + "\n")

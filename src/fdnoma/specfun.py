@@ -17,16 +17,7 @@ _2F1_REL_TOL = 1e-15
 
 
 class SeriesConvergenceError(ArithmeticError):
-    """A series failed to meet its tolerance within the term budget.
-
-    Carries the partial value and the number of terms accumulated so the
-    caller can decide whether the partial result is still usable.
-    """
-
-    def __init__(self, message: str, partial_value: float, num_terms: int):
-        super().__init__(message)
-        self.partial_value = partial_value
-        self.num_terms = num_terms
+    """A series failed to meet its tolerance within the term budget."""
 
 
 def _is_nonpositive_integer(x: float) -> bool:
@@ -42,8 +33,9 @@ def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
 
         2F1(a, b; c; z) = (1 - z)^(-b) 2F1(c - a, b; c; z / (z - 1))
 
-    maps the argument into [0, 1) where the series converges; target
-    relative accuracy is 1e-10.
+    maps the argument into [0, 1) where the series converges.  Summation
+    stops at the first term no larger than 1e-15 of the running sum;
+    SeriesConvergenceError is raised when 10000 terms do not get there.
     """
     if _is_nonpositive_integer(c):
         raise ValueError(f"2F1 parameter c must not be a non-positive integer, got {c}")
@@ -70,9 +62,6 @@ def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
         total += term
         if abs(term) <= _2F1_REL_TOL * abs(total):
             return (1.0 - z) ** (-b) * total
-    scale = (1.0 - z) ** (-b)
     raise SeriesConvergenceError(
-        f"2F1({a}, {b}; {c}; {z}) did not converge within {_2F1_MAX_TERMS} terms",
-        partial_value=scale * total,
-        num_terms=_2F1_MAX_TERMS,
+        f"2F1({a}, {b}; {c}; {z}) did not converge within {_2F1_MAX_TERMS} terms"
     )

@@ -13,6 +13,7 @@ from fdnoma.outage import (
     Scheme,
     SignalModel,
     SystemConfig,
+    db_to_linear,
     noma_effective_threshold,
     signal_model,
 )
@@ -80,7 +81,7 @@ def threshold_equivalence_check(
     (uplink,) = model.interferers
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
     x, y = (
-        sample_rician_shadowed(link.fading, rng, num_samples) * link.mean_power(cfg.pt_linear)
+        sample_rician_shadowed(link.fading, rng, num_samples) * link.mean_power(db_to_linear(cfg.p_t))
         for link in (model.desired, uplink)
     )
     direct = alloc * x / (residual * (1.0 - alloc) * x + y + 1.0) <= model.gamma

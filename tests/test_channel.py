@@ -214,6 +214,17 @@ def test_cdf_matches_coefficient_sum():
     assert series.at(pbar, ()).value == pytest.approx(math.fsum(terms), rel=1e-12)
 
 
+@pytest.mark.parametrize("m", [0.5, 1.0, 3.0])
+def test_cdf_k_zero_is_exponential_cdf(m):
+    # with no line of sight the series is the Taylor expansion of the
+    # exponential CDF 1 - exp(-gamma / P), whatever m
+    p = exponential(2.0, m)
+    for gamma in (0.05, 0.3, 1.0):
+        result = TruncatedSeries(p, (), gamma, 25).at(p.mean_power, ())
+        assert result.converged
+        assert abs(result.value + math.expm1(-gamma / p.mean_power)) < 1e-15
+
+
 @pytest.mark.parametrize("m", [3.0, 10.0])
 def test_cdf_truncation_stability_unit_power(m):
     p = RicianShadowedParams(1.0, 10.0, m)

@@ -20,11 +20,9 @@ def test_module_all_resolves(name):
 # the public API: adding or dropping a name is a deliberate edit here
 PACKAGE_EXPORTS = {
     "ConfigError", "FadingSet", "McEstimate", "McSettings", "Node", "NodeGeometry",
-    "OutageCurve", "OutageResult", "RicianShadowedParams", "Scheme",
-    "SeriesConvergenceError", "SweepSpec", "SweepTable", "SystemConfig", "TruncatedCdf",
-    "emit_csv", "emit_plot_data", "evaluate_outage", "gauss_2f1", "load_config",
-    "mc_outage", "mc_outage_curves", "noma_effective_threshold", "rate_for",
-    "rician_shadowed_moment", "run_sweep", "sample_rician_shadowed", "sinr_threshold",
+    "OutageCurve", "OutageResult", "RicianShadowedParams", "Scheme", "SweepSpec",
+    "SystemConfig", "emit_csv", "emit_plot_data", "evaluate_outage", "load_config",
+    "mc_outage", "mc_outage_curves", "run_sweep",
 }
 
 

@@ -22,6 +22,7 @@ from fdnoma.montecarlo import (
 from fdnoma.outage import (
     Node,
     Scheme,
+    db_to_linear,
     evaluate_outage,
     rate_for,
     signal_model,
@@ -86,7 +87,7 @@ def test_degenerate_uav2_matches_plain_cdf():
     cfg = suburban(pt_db=10.0, a_gs2=1.0 - 1e-12, beta=0.0, d_12=1e6)
     est = mc_outage(cfg, Scheme.FD_NOMA, Node.UAV2, FAST)
     gamma = sinr_threshold(rate_for(Scheme.FD_NOMA, cfg.r_oma))
-    desired = RicianShadowedParams(cfg.pt_linear / 4.0, 10.0, 3.0)
+    desired = RicianShadowedParams(db_to_linear(cfg.p_t) / 4.0, 10.0, 3.0)
     want = TruncatedSeries(desired, (), gamma, 25).at(desired.mean_power, ()).value
     assert abs(est.probability - want) < 3 * est.std_error
 

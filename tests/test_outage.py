@@ -23,6 +23,7 @@ from fdnoma.outage import (
     OutageCurve,
     Scheme,
     SystemConfig,
+    db_to_linear,
     evaluate_outage,
     noma_effective_threshold,
     rate_for,
@@ -235,7 +236,7 @@ def test_fd_uav_degenerate_collapse_to_cdf():
     cfg = suburban(pt_db=10.0, a_gs2=1.0 - 1e-12, beta=0.0, d_12=1e6)
     result = evaluate_outage(cfg, Scheme.FD_NOMA, Node.UAV2)
     gamma = sinr_threshold(rate_for(Scheme.FD_NOMA, cfg.r_oma))
-    desired = RicianShadowedParams(cfg.pt_linear / 4.0, 10.0, 3.0)
+    desired = RicianShadowedParams(db_to_linear(cfg.p_t) / 4.0, 10.0, 3.0)
     series = TruncatedSeries(desired, (), gamma / (1.0 - 1e-12), 25)
     want = series.at(desired.mean_power, ()).value
     assert result.probability == pytest.approx(want, rel=1e-6)
@@ -365,8 +366,14 @@ def test_system_config_validation():
 
 def test_pt_conversion_and_si_ratio():
     cfg = suburban(pt_db=20.0)
-    assert cfg.pt_linear == pytest.approx(100.0, rel=1e-14)
+    assert db_to_linear(cfg.p_t) == pytest.approx(100.0, rel=1e-14)
     assert cfg.si_power_ratio == pytest.approx(10 ** (-0.9), rel=1e-14)
+
+
+def test_db_to_linear_at_float_range_edges():
+    assert db_to_linear(3100.0) == math.inf  # 10^310 overflows
+    assert db_to_linear(-4000.0) == 0.0
+    assert db_to_linear(-30.0) == pytest.approx(1e-3, rel=1e-14)
 
 
 def test_epsilon_zero_drops_estimation_error_term():

@@ -251,17 +251,17 @@ def single_point_spec(with_mc=False, samples=2000, seed=1234):
 
 def test_single_point_sweep_has_nine_sorted_rows():
     cfg, _ = load_config(REFERENCE)
-    table = run_sweep(cfg, single_point_spec())
-    assert len(table.rows) == 9
-    keys = [(r.scheme.value, r.node.value, r.pt_db) for r in table.rows]
+    rows = run_sweep(cfg, single_point_spec())
+    assert len(rows) == 9
+    keys = [(r.scheme.value, r.node.value, r.pt_db) for r in rows]
     assert keys == sorted(keys)
-    assert all(r.outage_mc is None and r.mc_se is None for r in table.rows)
+    assert all(r.outage_mc is None and r.mc_se is None for r in rows)
 
 
 def test_sweep_mc_columns_present_iff_requested():
     cfg, _ = load_config(REFERENCE)
-    table = run_sweep(cfg, single_point_spec(with_mc=True))
-    assert all(r.outage_mc is not None and r.mc_se is not None for r in table.rows)
+    rows = run_sweep(cfg, single_point_spec(with_mc=True))
+    assert all(r.outage_mc is not None and r.mc_se is not None for r in rows)
 
 
 def test_sweep_deterministic():
@@ -274,9 +274,9 @@ def test_sweep_deterministic():
 
 def test_point_evaluation_equals_sweep_row_bit_for_bit():
     cfg, spec = load_config(REFERENCE)
-    table = run_sweep(cfg, spec)
-    assert len(table.rows) == 117
-    for row in table.rows:
+    rows = run_sweep(cfg, spec)
+    assert len(rows) == 117
+    for row in rows:
         point = evaluate_outage(replace(cfg, p_t=row.pt_db), row.scheme, row.node)
         assert point.probability == row.outage_cf, row
         assert point.converged == row.converged, row
@@ -287,9 +287,9 @@ def test_mc_point_equals_sweep_row_bit_for_bit():
     # --samples 65536 --seed 7`
     cfg, spec = load_config(REFERENCE)
     mc = McSettings(65536, 7)
-    table = run_sweep(cfg, replace(spec, with_mc=True, mc=mc))
-    assert len(table.rows) == 117
-    for row in table.rows:
+    rows = run_sweep(cfg, replace(spec, with_mc=True, mc=mc))
+    assert len(rows) == 117
+    for row in rows:
         point = mc_outage(replace(cfg, p_t=row.pt_db), row.scheme, row.node, mc)
         assert (point.probability, point.std_error) == (row.outage_mc, row.mc_se), row
 
@@ -298,12 +298,12 @@ def test_sweep_mc_columns_equal_standalone_curves():
     # pairs sharing a desired link's draws get the values they get alone
     cfg, spec = load_config(REFERENCE)
     mc = McSettings(300_000, 5)  # two batches
-    table = run_sweep(cfg, replace(spec, with_mc=True, mc=mc))
+    sweep = run_sweep(cfg, replace(spec, with_mc=True, mc=mc))
     grid = spec.power_grid()
     for scheme in Scheme:
         for node in Node:
             pair = (scheme, node)
-            rows = [r for r in table.rows if (r.scheme, r.node) == pair]
+            rows = [r for r in sweep if (r.scheme, r.node) == pair]
             curve = mc_outage_curves(cfg, [pair], grid, mc)[pair]
             assert [(r.outage_mc, r.mc_se) for r in rows] == [
                 (est.probability, est.std_error) for est in curve
@@ -319,6 +319,23 @@ def test_sweep_spec_validation():
         SweepSpec(0.0, 10.0, 5.0, (), tuple(Node), False, McSettings(seed=1))
     with pytest.raises(ValueError, match="pt_stop_db"):
         SweepSpec(0.0, math.inf, 5.0, tuple(Scheme), tuple(Node), False, McSettings(seed=1))
+    with pytest.raises(ValueError, match="node"):
+        SweepSpec(0.0, 10.0, 5.0, tuple(Scheme), (), False, McSettings(seed=1))
+    # finite ends whose span overflows: no finite number of power points
+    with pytest.raises(ValueError, match="pt_start_db .*pt_stop_db .*pt_step_db"):
+        SweepSpec(-1e308, 1e308, 5.0, tuple(Scheme), tuple(Node), False, McSettings(seed=1))
+
+
+def test_power_grid_without_finite_point_count_rejected(tmp_path, capsys):
+    sweep = "\n[sweep]\npt_start_db = -1e308\npt_stop_db = 1e308\n"
+    path = write(tmp_path, MINIMAL + sweep)
+    with pytest.raises(ConfigError, match="pt_start_db .*pt_stop_db .*pt_step_db"):
+        load_config(path)
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--config", path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "pt_step_db" in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -326,24 +343,22 @@ def test_sweep_spec_validation():
 # ---------------------------------------------------------------------------
 
 def test_emit_csv_empty_table(tmp_path):
-    from fdnoma.scenario import SweepTable
-
     out = tmp_path / "empty.csv"
-    emit_csv(SweepTable(()), str(out))
+    emit_csv((), str(out))
     assert out.read_text(encoding="utf-8") == CSV_HEADER + "\n"
 
 
 def test_emit_csv_round_trip(tmp_path):
     cfg, _ = load_config(REFERENCE)
-    table = run_sweep(cfg, single_point_spec(with_mc=True))
+    rows = run_sweep(cfg, single_point_spec(with_mc=True))
     out = tmp_path / "table.csv"
-    emit_csv(table, str(out))
+    emit_csv(rows, str(out))
     text = out.read_text(encoding="utf-8")
     lines = text.strip().split("\n")
     assert lines[0] == CSV_HEADER
     assert len(lines) == 10
     assert "\r" not in text
-    for row, line in zip(table.rows, lines[1:]):
+    for row, line in zip(rows, lines[1:]):
         scheme, node, pt, cf, conv, mc, se = line.split(",")
         assert scheme == row.scheme.value and node == row.node.value
         assert math.isclose(float(pt), row.pt_db, rel_tol=1e-9)
@@ -364,9 +379,9 @@ def test_emit_plot_data_blocks(tmp_path):
         with_mc=False,
         mc=McSettings(seed=1),
     )
-    table = run_sweep(cfg, spec)
+    rows = run_sweep(cfg, spec)
     out = tmp_path / "plot.dat"
-    emit_plot_data(table, str(out))
+    emit_plot_data(rows, str(out))
     text = out.read_text(encoding="utf-8")
     blocks = text.strip().split("\n\n")
     assert len(blocks) == 3
@@ -374,7 +389,7 @@ def test_emit_plot_data_blocks(tmp_path):
     assert len(blocks[0].strip().split("\n")) == 4  # header + 3 power points
     # byte-identical on re-emission
     out2 = tmp_path / "plot2.dat"
-    emit_plot_data(table, str(out2))
+    emit_plot_data(rows, str(out2))
     assert out.read_bytes() == out2.read_bytes()
 
 
@@ -444,6 +459,29 @@ def test_cli_strict_nonconvergence_exit_code(tmp_path, capsys):
     assert err.endswith("(first: fd_noma uav3 at 0 dB)\n")
 
 
+def test_cli_sweep_fails_every_row_of_a_curve_that_cannot_be_built(tmp_path, capsys):
+    # the fd_noma/uav2 uplink interferer's moments need a 2F1 that runs
+    # out of terms, so that curve's tables cannot be built: all its rows
+    # fail, and every other curve is evaluated as usual
+    fading = "\n[fading]\nk_12 = 1e6\nm_12 = 0.5\n"
+    sweep = "\n[sweep]\npt_start_db = 0\npt_stop_db = 10\n"
+    path = write(tmp_path, MINIMAL + fading + sweep)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", path, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == (
+        "warning: 3 row(s) failed to evaluate (first: fd_noma uav2 at 0 dB: "
+        "SeriesConvergenceError: 2F1(0.5, 2.0; 1.0; -2000000.0) did not converge "
+        "within 10000 terms)\n"
+    )
+    lines = out.read_text(encoding="utf-8").splitlines()[1:]
+    assert len(lines) == 27
+    failed = [line for line in lines if line.startswith("fd_noma,uav2,")]
+    assert failed == [f"fd_noma,uav2,{pt},nan,false,," for pt in (0, 5, 10)]
+    assert all(",nan," not in line for line in lines if line not in failed)
+    assert main(["sweep", "--config", path, "--out", str(out), "--strict"]) == 2
+    assert "warning: 3 row(s)" in capsys.readouterr().err
+
+
 def test_cli_point_invalid_scheme():
     with pytest.raises(SystemExit):
         main(["point", "--config", REFERENCE, "--scheme", "xx", "--node", "gs", "--pt", "0"])
@@ -502,7 +540,7 @@ def test_cli_point_rejects_non_finite_power(capsys, pt):
 
 def test_cli_arithmetic_error_exit_code(monkeypatch, capsys):
     def diverge(cfg, scheme, node):
-        raise SeriesConvergenceError("series did not converge", 0.5, 10)
+        raise SeriesConvergenceError("series did not converge")
 
     monkeypatch.setattr(fdnoma.cli, "evaluate_outage", diverge)
     args = ["point", "--config", REFERENCE, "--scheme", "fd_noma", "--node", "gs", "--pt", "60"]
@@ -593,8 +631,8 @@ def test_mc_sweep_at_underflowing_power_is_certain_outage():
     spec = replace(
         single_point_spec(with_mc=True), pt_start_db=-4000.0, pt_stop_db=-4000.0
     )
-    table = run_sweep(cfg, spec)
-    assert [(r.outage_mc, r.mc_se) for r in table.rows] == [(1.0, 0.0)] * 9
+    rows = run_sweep(cfg, spec)
+    assert [(r.outage_mc, r.mc_se) for r in rows] == [(1.0, 0.0)] * 9
 
 
 def test_cli_point_at_underflowing_power_is_certain_outage(capsys):

@@ -60,11 +60,8 @@ def test_2f1_domain_errors():
         gauss_2f1(0.5, 1.0, 1.0, 0.5)
 
 
-def test_2f1_convergence_error_carries_partial_state():
+def test_2f1_convergence_error_names_term_budget():
     # an extreme argument maps to a transformed argument so close to 1 that
     # the term budget runs out
-    with pytest.raises(SeriesConvergenceError) as excinfo:
+    with pytest.raises(SeriesConvergenceError, match="within 10000 terms"):
         gauss_2f1(0.3, 2.0, 1.0, -1e8)
-    err = excinfo.value
-    assert err.num_terms == 10_000
-    assert math.isfinite(err.partial_value) and err.partial_value > 0
