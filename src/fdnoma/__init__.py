@@ -5,14 +5,13 @@ an independent Monte Carlo simulation oracle, plus a sweep CLI.  Lower
 layers (2F1, moments, samplers, thresholds) are imported from their modules.
 """
 
-from .channel import RicianShadowedParams
+from .channel import OutageResult, RicianShadowedParams
 from .montecarlo import McEstimate, McSettings, mc_outage, mc_outage_curves
 from .outage import (
     FadingSet,
     Node,
     NodeGeometry,
     OutageCurve,
-    OutageResult,
     Scheme,
     SystemConfig,
     evaluate_outage,

@@ -2,9 +2,10 @@
 
 Moments, the closed form's one series evaluator `TruncatedSeries` (the
 CDF expansion of a desired link against the moments of an interference
-sum), and exact sampling.  The squared-envelope power X of a Rician
-shadowed link is parameterised by its mean power, Rician K factor and
-shadowing severity m (Nakagami shape of the line-of-sight amplitude).
+sum) with its one result record `OutageResult`, and exact sampling.  The
+squared-envelope power X of a Rician shadowed link is parameterised by its
+mean power, Rician K factor and shadowing severity m (Nakagami shape of
+the line-of-sight amplitude).
 `mean_power` is the first moment of X; the moment formula and the sampler
 agree on that convention and the test suite pins it.  K = 0 leaves only
 the diffuse component: exponential power (Rayleigh fading) for any m.
@@ -27,7 +28,7 @@ from .specfun import gauss_2f1
 
 __all__ = [
     "RicianShadowedParams",
-    "TruncatedCdf",
+    "OutageResult",
     "TruncatedSeries",
     "MAX_MOMENT_ORDER",
     "rician_shadowed_moment",
@@ -66,10 +67,13 @@ class RicianShadowedParams:
 
 
 @dataclass(frozen=True)
-class TruncatedCdf:
-    """Value of a truncated CDF series plus its convergence metadata."""
+class OutageResult:
+    """One closed-form outage value: the probability, the threshold gamma
+    it was evaluated at, and whether the series is trusted to have
+    converged."""
 
-    value: float
+    probability: float
+    threshold_used: float
     converged: bool
 
 
@@ -240,8 +244,9 @@ class TruncatedSeries:
             )
         ]
 
-    def at(self, desired_mean: float, interferer_means: Sequence[float]) -> TruncatedCdf:
-        """Evaluate the series at the given mean powers.
+    def at(self, desired_mean: float, interferer_means: Sequence[float]) -> OutageResult:
+        """Evaluate the series at the given mean powers; the record's
+        `threshold_used` is the series threshold gamma.
 
         The truncated sum is clamped to [0, 1]; the alternating series can
         slightly overshoot before it has converged.  `converged` goes false
@@ -257,9 +262,9 @@ class TruncatedSeries:
                 f"got {len(interferer_means)}"
             )
         if self.gamma == 0.0:
-            return TruncatedCdf(0.0, True)
+            return OutageResult(0.0, self.gamma, True)
         if math.isinf(self.gamma):
-            return TruncatedCdf(1.0, True)
+            return OutageResult(1.0, self.gamma, True)
         terms = []
         for n, (sign, log_mag) in enumerate(self._log_terms(desired_mean, interferer_means)):
             if log_mag > _LOG_HUGE:
@@ -270,7 +275,7 @@ class TruncatedSeries:
             terms.append(sign * math.exp(log_mag))
         total = math.fsum(terms)
         converged = not _diverging([abs(t) for t in terms])
-        return TruncatedCdf(min(max(total, 0.0), 1.0), converged)
+        return OutageResult(min(max(total, 0.0), 1.0), self.gamma, converged)
 
 
 def _diverging(magnitudes: list[float]) -> bool:

@@ -82,7 +82,7 @@ def _run_sweep(args) -> int:
             f"{first.scheme.value} {first.node.value} at {first.pt_db:g} dB: {first.error})",
             file=sys.stderr,
         )
-    bad = [row for row in rows if not row.converged]
+    bad = [row for row in rows if not row.closed.converged]
     if args.strict and bad:
         print(
             f"error: {len(bad)} row(s) did not converge "
@@ -98,15 +98,8 @@ def _run_point(args) -> int:
     cfg = replace(cfg, p_t=args.pt)
     if args.ktr is not None:
         cfg = replace(cfg, k_tr=args.ktr)
-    result = evaluate_outage(cfg, Scheme(args.scheme), Node(args.node))
-    row = SweepRow(
-        scheme=result.scheme,
-        node=result.node,
-        pt_db=args.pt,
-        outage_cf=result.probability,
-        converged=result.converged,
-    )
-    print(format_row(row))
+    scheme, node = Scheme(args.scheme), Node(args.node)
+    print(format_row(SweepRow(scheme, node, args.pt, evaluate_outage(cfg, scheme, node))))
     return 0
 
 

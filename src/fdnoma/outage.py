@@ -9,7 +9,8 @@ rate is half of it.
 The closed form expands the outage probability
 P(X0 <= gamma (1 + sum_i X_i)) into a truncated series over CDF expansion
 coefficients of the desired link and moments of the interference sum
-(`channel.TruncatedSeries`, its one evaluator).
+(`channel.TruncatedSeries`, its one evaluator, whose `channel.OutageResult`
+record every caller receives unchanged).
 Each (scheme, node) pair is described once, by `signal_model`, which the
 Monte Carlo oracle reads too, and evaluated as one `OutageCurve` over
 transmit power.  The closed form folds the power-domain NOMA interference
@@ -30,9 +31,10 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
-from .channel import MAX_MOMENT_ORDER, RicianShadowedParams, TruncatedSeries
+from .channel import MAX_MOMENT_ORDER, OutageResult, RicianShadowedParams, TruncatedSeries
 
 __all__ = [
     "Scheme",
@@ -42,7 +44,6 @@ __all__ = [
     "SystemConfig",
     "Link",
     "SignalModel",
-    "OutageResult",
     "OutageCurve",
     "rate_for",
     "sinr_threshold",
@@ -69,7 +70,9 @@ class NodeGeometry:
     """Euclidean distances (km) between the nodes and the pathloss exponent.
 
     UAV-1 is the uplink transmitter, the ground station serves UAV-2 (near,
-    SIC detector) and UAV-3 (far, interference-ignorant detector).
+    SIC detector) and UAV-3 (far, interference-ignorant detector).  Each
+    pathloss distance**pathloss_exp must be a normal float, so that it and
+    its reciprocal, the link gain, are finite and non-zero.
     """
 
     d_1g: float
@@ -80,17 +83,26 @@ class NodeGeometry:
     pathloss_exp: float
 
     def __post_init__(self) -> None:
+        if not (self.pathloss_exp >= 1 and math.isfinite(self.pathloss_exp)):
+            raise ValueError(
+                f"pathloss_exp must be finite and >= 1, got {self.pathloss_exp}"
+            )
         for name in ("d_1g", "d_g2", "d_g3", "d_12", "d_13"):
             value = getattr(self, name)
             if not (value > 0 and math.isfinite(value)):
                 raise ValueError(f"distance {name} must be finite and positive, got {value}")
+            try:
+                loss = value**self.pathloss_exp
+            except OverflowError:
+                loss = math.inf
+            if not sys.float_info.min <= loss <= sys.float_info.max:
+                raise ValueError(
+                    f"pathloss {name}**pathloss_exp = {value}**{self.pathloss_exp} "
+                    "is out of float range"
+                )
         if not self.d_g2 < self.d_g3:
             raise ValueError(
                 f"downlink ordering requires d_g2 < d_g3, got {self.d_g2} >= {self.d_g3}"
-            )
-        if not (self.pathloss_exp >= 1 and math.isfinite(self.pathloss_exp)):
-            raise ValueError(
-                f"pathloss_exp must be finite and >= 1, got {self.pathloss_exp}"
             )
 
 
@@ -151,22 +163,24 @@ class SystemConfig:
                 f"truncation order k_tr must be <= {MAX_MOMENT_ORDER - 1} (the series "
                 f"uses moments up to order k_tr + 1), got {self.k_tr}"
             )
-        if not self.r_oma >= 0:
-            raise ValueError(f"base rate r_oma must be >= 0, got {self.r_oma}")
+        if not (self.r_oma >= 0 and math.isfinite(self.r_oma)):
+            raise ValueError(f"base rate r_oma must be finite and >= 0, got {self.r_oma}")
+        try:
+            sinr_threshold(self.r_oma)  # HD-OMA's, the largest threshold
+        except OverflowError:
+            raise ValueError(
+                f"base rate r_oma = {self.r_oma} overflows the SINR threshold 2^r_oma - 1"
+            ) from None
+        if not math.isfinite(self.si_power_ratio):
+            raise ValueError(
+                f"phase_noise_power {self.phase_noise_power} dBm over noise_power "
+                f"{self.noise_power} dBm overflows as a linear power ratio"
+            )
 
     @property
     def si_power_ratio(self) -> float:
         """Phase-noise power over noise power, linear."""
-        return 10.0 ** ((self.phase_noise_power - self.noise_power) / 10.0)
-
-
-@dataclass(frozen=True)
-class OutageResult:
-    scheme: Scheme
-    node: Node
-    probability: float
-    threshold_used: float
-    converged: bool
+        return db_to_linear(self.phase_noise_power - self.noise_power)
 
 
 def rate_for(scheme: Scheme, r_oma: float) -> float:
@@ -302,17 +316,15 @@ class OutageCurve:
     """
 
     def __init__(self, cfg: SystemConfig, scheme: Scheme, node: Node):
-        self.scheme = scheme
-        self.node = node
         model = signal_model(cfg, scheme, node)
-        self.threshold = model.gamma
+        threshold = model.gamma
         if model.split is not None:
-            self.threshold = noma_effective_threshold(model.gamma, *model.split)
+            threshold = noma_effective_threshold(model.gamma, *model.split)
         self._links = (model.desired,) + model.interferers
         self._series = TruncatedSeries(
             model.desired.fading,
             [link.fading for link in model.interferers],
-            self.threshold,
+            threshold,
             cfg.k_tr,
         )
 
@@ -328,15 +340,12 @@ class OutageCurve:
         pt_linear = db_to_linear(pt_db)
         desired, *interferers = [link.mean_power(pt_linear) for link in self._links]
         if desired == 0.0:
-            return OutageResult(self.scheme, self.node, 1.0, self.threshold, True)
+            return OutageResult(1.0, self._series.gamma, True)
         if not all(map(math.isfinite, (desired, *interferers))):
             raise OverflowError(
                 f"transmit power {pt_db:g} dB is out of float range (a link's mean power overflows)"
             )
-        result = self._series.at(desired, interferers)
-        return OutageResult(
-            self.scheme, self.node, result.value, self.threshold, result.converged
-        )
+        return self._series.at(desired, interferers)
 
 
 def evaluate_outage(cfg: SystemConfig, scheme: Scheme, node: Node) -> OutageResult:

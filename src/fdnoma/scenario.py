@@ -17,8 +17,8 @@ import os
 from dataclasses import dataclass
 from typing import Sequence
 
-from .channel import RicianShadowedParams
-from .montecarlo import McSettings, mc_outage_curves
+from .channel import OutageResult, RicianShadowedParams
+from .montecarlo import McEstimate, McSettings, mc_outage_curves
 from .outage import (
     FadingSet,
     Node,
@@ -42,6 +42,10 @@ __all__ = [
 CSV_HEADER = "scheme,node,pt_db,outage_cf,converged,outage_mc,mc_se"
 
 DEFAULT_MC_SEED = 20260809
+
+# Most transmit-power points one sweep may have; a longer grid is a config
+# mistake, and building it would exhaust memory.
+MAX_POWER_POINTS = 100_000
 
 # Every config key with the text of its default, section by section: the
 # reference suburban scenario.  None marks a mandatory key: the inter-UAV
@@ -122,31 +126,38 @@ class SweepSpec:
             raise ValueError(
                 f"pt_start_db {self.pt_start_db} exceeds pt_stop_db {self.pt_stop_db}"
             )
-        if not math.isfinite((self.pt_stop_db - self.pt_start_db) / self.pt_step_db):
+        if not self._steps() < MAX_POWER_POINTS:
             raise ValueError(
                 f"pt_start_db {self.pt_start_db}, pt_stop_db {self.pt_stop_db} and "
-                f"pt_step_db {self.pt_step_db} do not give a finite number of power points"
+                f"pt_step_db {self.pt_step_db} give more than {MAX_POWER_POINTS} power points"
             )
         if not self.schemes:
             raise ValueError("at least one scheme must be requested")
         if not self.nodes:
             raise ValueError("at least one node must be requested")
 
+    def _steps(self) -> float:
+        """(stop - start) / step with slack for rounding: the grid has
+        floor(steps) + 1 points."""
+        return (self.pt_stop_db - self.pt_start_db) / self.pt_step_db + 1e-9
+
     def power_grid(self) -> list[float]:
-        count = int(math.floor((self.pt_stop_db - self.pt_start_db) / self.pt_step_db + 1e-9))
+        count = math.floor(self._steps())
         return [self.pt_start_db + i * self.pt_step_db for i in range(count + 1)]
 
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One (scheme, node, power) point: the closed form's record, the
+    Monte Carlo estimate if one was asked for, and why the closed form
+    raised, if it did (not written to CSV)."""
+
     scheme: Scheme
     node: Node
     pt_db: float
-    outage_cf: float
-    converged: bool
-    outage_mc: float | None = None
-    mc_se: float | None = None
-    error: str | None = None  # why the evaluator raised; not written to CSV
+    closed: OutageResult
+    mc: McEstimate | None = None
+    error: str | None = None
 
 
 def _parse(kind: type, text: str, name: str):
@@ -265,13 +276,13 @@ def _parse_enum_list(raw: str, enum_cls, what: str):
 
 def _evaluate_curve(
     cfg: SystemConfig, scheme: Scheme, node: Node, grid: list[float]
-) -> list[tuple[float, bool, str | None]]:
-    """(outage, converged, error) of each power point of one pair.  An
-    evaluator error fails its rows (NaN, converged=False) and is kept as
+) -> list[tuple[OutageResult, str | None]]:
+    """(record, error) of each power point of one pair.  An evaluator
+    error fails its rows (a NaN record, converged=False) and is kept as
     text; a failure while building the curve fails all of them."""
 
-    def failed(exc: Exception) -> tuple[float, bool, str]:
-        return math.nan, False, f"{type(exc).__name__}: {exc}"
+    def failed(exc: Exception) -> tuple[OutageResult, str]:
+        return OutageResult(math.nan, math.nan, False), f"{type(exc).__name__}: {exc}"
 
     try:
         curve = OutageCurve(cfg, scheme, node)
@@ -284,7 +295,7 @@ def _evaluate_curve(
         except (ValueError, ArithmeticError) as exc:
             out.append(failed(exc))
         else:
-            out.append((result.probability, result.converged, None))
+            out.append((result, None))
     return out
 
 
@@ -296,9 +307,11 @@ def run_sweep(cfg: SystemConfig, spec: SweepSpec) -> tuple[SweepRow, ...]:
     present iff the spec asks for them; they come from one
     `mc_outage_curves` call over every pair with seed `spec.mc.seed`,
     whose (seed, batch) substreams every row of a pair shares, so a row
-    equals `mc_outage` at its power.  Evaluator errors (say, a series term
+    equals `mc_outage` at its power.  Each row holds the evaluators'
+    records as they return them.  Evaluator errors (say, a series term
     past double range far below the noise floor) mark the row failed
-    (NaN, converged=False, `error` set) without aborting the sweep.
+    (a NaN record, converged=False, `error` set) without aborting the
+    sweep.
     """
     grid = spec.power_grid()
     combos = sorted(
@@ -310,19 +323,8 @@ def run_sweep(cfg: SystemConfig, spec: SweepSpec) -> tuple[SweepRow, ...]:
     for scheme, node in combos:
         closed = _evaluate_curve(cfg, scheme, node, grid)
         estimates = simulated.get((scheme, node), [None] * len(grid))
-        for pt, (cf, converged, error), estimate in zip(grid, closed, estimates):
-            rows.append(
-                SweepRow(
-                    scheme=scheme,
-                    node=node,
-                    pt_db=pt,
-                    outage_cf=cf,
-                    converged=converged,
-                    outage_mc=None if estimate is None else estimate.probability,
-                    mc_se=None if estimate is None else estimate.std_error,
-                    error=error,
-                )
-            )
+        for pt, (result, error), estimate in zip(grid, closed, estimates):
+            rows.append(SweepRow(scheme, node, pt, result, estimate, error))
     return tuple(rows)
 
 
@@ -331,17 +333,15 @@ def _fmt(value: float) -> str:
 
 
 def format_row(row: SweepRow) -> str:
-    mc = "" if row.outage_mc is None else _fmt(row.outage_mc)
-    se = "" if row.mc_se is None else _fmt(row.mc_se)
+    mc = ["", ""] if row.mc is None else [_fmt(row.mc.probability), _fmt(row.mc.std_error)]
     return ",".join(
         [
             row.scheme.value,
             row.node.value,
             _fmt(row.pt_db),
-            _fmt(row.outage_cf),
-            "true" if row.converged else "false",
-            mc,
-            se,
+            _fmt(row.closed.probability),
+            "true" if row.closed.converged else "false",
+            *mc,
         ]
     )
 
@@ -363,7 +363,7 @@ def emit_plot_data(rows: Sequence[SweepRow], path: str) -> None:
     blocks = []
     for (scheme, node), curve in sorted(series.items()):
         lines = [f"# {scheme} {node}"]
-        lines.extend(f"{_fmt(r.pt_db)} {_fmt(r.outage_cf)}" for r in curve)
+        lines.extend(f"{_fmt(r.pt_db)} {_fmt(r.closed.probability)}" for r in curve)
         blocks.append("\n".join(lines))
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n\n".join(blocks) + "\n")

@@ -8,8 +8,8 @@ from scipy import stats
 
 from fdnoma.channel import (
     MAX_MOMENT_ORDER,
+    OutageResult,
     RicianShadowedParams,
-    TruncatedCdf,
     TruncatedSeries,
     _log_moment_shape,
     rician_shadowed_moment,
@@ -143,7 +143,7 @@ def alpha(n, p, gamma):
     def truncated(k_tr):
         if k_tr < 0:
             return 0.0
-        return TruncatedSeries(p, (), gamma, k_tr).at(p.mean_power, ()).value
+        return TruncatedSeries(p, (), gamma, k_tr).at(p.mean_power, ()).probability
 
     return truncated(n) - truncated(n - 1)
 
@@ -190,7 +190,7 @@ def test_alpha_signs_alternate_eventually():
 def test_cdf_truncated_zero_threshold():
     p = RicianShadowedParams(1.0, 10.0, 10.0)
     result = TruncatedSeries(p, (), 0.0, 25).at(p.mean_power, ())
-    assert result == TruncatedCdf(0.0, True)
+    assert result == OutageResult(0.0, 0.0, True)
 
 
 def test_cdf_matches_coefficient_sum():
@@ -211,7 +211,7 @@ def test_cdf_matches_coefficient_sum():
                 / (math.factorial(n - i) * (n + 1))
             )
     series = TruncatedSeries(RicianShadowedParams(pbar, k, m), (), gamma, 25)
-    assert series.at(pbar, ()).value == pytest.approx(math.fsum(terms), rel=1e-12)
+    assert series.at(pbar, ()).probability == pytest.approx(math.fsum(terms), rel=1e-12)
 
 
 @pytest.mark.parametrize("m", [0.5, 1.0, 3.0])
@@ -222,7 +222,7 @@ def test_cdf_k_zero_is_exponential_cdf(m):
     for gamma in (0.05, 0.3, 1.0):
         result = TruncatedSeries(p, (), gamma, 25).at(p.mean_power, ())
         assert result.converged
-        assert abs(result.value + math.expm1(-gamma / p.mean_power)) < 1e-15
+        assert abs(result.probability + math.expm1(-gamma / p.mean_power)) < 1e-15
 
 
 @pytest.mark.parametrize("m", [3.0, 10.0])
@@ -232,7 +232,7 @@ def test_cdf_truncation_stability_unit_power(m):
         a = TruncatedSeries(p, (), gamma, 25).at(p.mean_power, ())
         b = TruncatedSeries(p, (), gamma, 30).at(p.mean_power, ())
         assert a.converged and b.converged
-        assert abs(a.value - b.value) < 1e-8
+        assert abs(a.probability - b.probability) < 1e-8
 
 
 @pytest.mark.parametrize(
@@ -244,13 +244,13 @@ def test_cdf_matches_empirical(m, gamma):
     emp = float(np.mean(x <= gamma))
     se = math.sqrt(max(emp * (1 - emp), 1e-12) / x.size)
     closed = TruncatedSeries(p, (), gamma, 25).at(p.mean_power, ())
-    assert abs(closed.value - emp) < 3 * se
+    assert abs(closed.probability - emp) < 3 * se
 
 
 def test_cdf_monotone_in_threshold():
     p = RicianShadowedParams(1.0, 10.0, 10.0)
     grid = np.linspace(0.0, 0.6, 40)
-    values = [TruncatedSeries(p, (), g, 25).at(p.mean_power, ()).value for g in grid]
+    values = [TruncatedSeries(p, (), g, 25).at(p.mean_power, ()).probability for g in grid]
     assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
 
 
@@ -258,7 +258,7 @@ def test_cdf_flags_divergence_far_outside_range():
     # threshold far beyond the expansion's reach: clamped and flagged
     p = RicianShadowedParams(0.05, 10.0, 10.0)
     result = TruncatedSeries(p, (), 50.0, 25).at(p.mean_power, ())
-    assert 0.0 <= result.value <= 1.0
+    assert 0.0 <= result.probability <= 1.0
     assert not result.converged
 
 

@@ -91,7 +91,7 @@ def test_series_trivial_thresholds():
     interferers = [unit_link(10.0, 3.0)]
     for gamma, want in ((0.0, 0.0), (math.inf, 1.0)):
         series = TruncatedSeries(desired, interferers, gamma, 25)
-        assert series.at(1.0, [1.0]).value == want
+        assert series.at(1.0, [1.0]).probability == want
 
 
 def test_series_reduces_to_cdf_without_interferers():
@@ -101,7 +101,7 @@ def test_series_reduces_to_cdf_without_interferers():
     for gamma in (0.03, 0.1, 0.4):
         lhs = TruncatedSeries(desired, [interferer], gamma, 25).at(0.8, [1e-300])
         rhs = TruncatedSeries(desired, [], gamma, 25).at(0.8, [])
-        assert lhs.value == pytest.approx(rhs.value, rel=1e-12)
+        assert lhs.probability == pytest.approx(rhs.probability, rel=1e-12)
         assert lhs.converged == rhs.converged
 
 
@@ -119,7 +119,7 @@ def test_series_single_interferer_matches_monte_carlo():
     emp = float(np.mean(x <= gamma * (1.0 + y)))
     se = math.sqrt(emp * (1 - emp) / n)
     assert closed.converged
-    assert abs(closed.value - emp) < 3 * se
+    assert abs(closed.probability - emp) < 3 * se
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +163,6 @@ def test_zero_rate_never_outages():
 def test_result_metadata_fields():
     cfg = suburban(pt_db=10.0)
     result = evaluate_outage(cfg, Scheme.FD_NOMA, Node.GS)
-    assert result.scheme is Scheme.FD_NOMA and result.node is Node.GS
     assert result.threshold_used == pytest.approx(sinr_threshold(0.2 / 3.0), rel=1e-14)
     assert result.converged
     u3 = evaluate_outage(cfg, Scheme.FD_NOMA, Node.UAV3)
@@ -238,7 +237,7 @@ def test_fd_uav_degenerate_collapse_to_cdf():
     gamma = sinr_threshold(rate_for(Scheme.FD_NOMA, cfg.r_oma))
     desired = RicianShadowedParams(db_to_linear(cfg.p_t) / 4.0, 10.0, 3.0)
     series = TruncatedSeries(desired, (), gamma / (1.0 - 1e-12), 25)
-    want = series.at(desired.mean_power, ()).value
+    want = series.at(desired.mean_power, ()).probability
     assert result.probability == pytest.approx(want, rel=1e-6)
 
 

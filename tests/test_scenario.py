@@ -15,6 +15,7 @@ from fdnoma.outage import Node, OutageCurve, Scheme, evaluate_outage
 from fdnoma.specfun import SeriesConvergenceError
 from fdnoma.scenario import (
     CSV_HEADER,
+    MAX_POWER_POINTS,
     ConfigError,
     SweepSpec,
     emit_csv,
@@ -175,12 +176,25 @@ def test_bad_number_and_bool(tmp_path):
         load_config(write(tmp_path, MINIMAL + "\n[sweep]\nwith_mc = maybe\n", "b.ini"))
 
 
+def assert_rejected(tmp_path, capsys, path, named):
+    """Load raises a ConfigError naming `named`; `fdnoma sweep` exits 1 with
+    one error line naming it and writes no CSV."""
+    with pytest.raises(ConfigError, match=named):
+        load_config(path)
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--config", path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and re.search(named, err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "section,key,value,named",
     [
         ("system", "pt_db", "nan", "p_t"),
         ("system", "pt_db", "inf", "p_t"),
         ("system", "epsilon", "inf", "epsilon"),
+        ("system", "r_oma", "inf", "r_oma"),
         ("sweep", "pt_start_db", "-inf", "pt_start_db"),
         ("sweep", "pt_stop_db", "inf", "pt_stop_db"),
         ("sweep", "pt_stop_db", "nan", "pt_stop_db"),
@@ -197,13 +211,27 @@ def test_bad_number_and_bool(tmp_path):
 def test_non_finite_values_rejected(tmp_path, capsys, section, key, value, named):
     header = "" if section == "geometry" else f"\n[{section}]\n"  # MINIMAL ends in [geometry]
     path = write(tmp_path, MINIMAL + f"{header}{key} = {value}\n")
-    with pytest.raises(ConfigError, match=named):
-        load_config(path)
-    out = tmp_path / "x.csv"
-    assert main(["sweep", "--config", path, "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
-    assert not out.exists()
+    assert_rejected(tmp_path, capsys, path, named)
+
+
+@pytest.mark.parametrize(
+    "extra,named",
+    [
+        # 2e299 power points
+        ("\n[sweep]\npt_start_db = -1e300\n", "pt_step_db"),
+        # HD-OMA's threshold 2^3000 - 1 overflows
+        ("\n[system]\nr_oma = 3000\n", "r_oma"),
+        # 3^1000 overflows; 0.001^200 underflows to 0
+        ("pathloss_exp = 1000\n", "pathloss_exp"),
+        ("d_g2 = 0.001\npathloss_exp = 200\n", "d_g2"),
+        # a 4131 dB phase-noise/noise gap overflows as a linear ratio
+        ("\n[system]\nphase_noise_dbm = 4000\n", "phase_noise_power"),
+    ],
+    ids=["power_points", "rate_threshold", "loss_overflow", "loss_underflow", "si_ratio"],
+)
+def test_out_of_range_values_rejected(tmp_path, capsys, extra, named):
+    # finite values whose derived quantities leave float range
+    assert_rejected(tmp_path, capsys, write(tmp_path, MINIMAL + extra), named)
 
 
 def test_retired_antithetic_key(tmp_path, capsys):
@@ -213,13 +241,7 @@ def test_retired_antithetic_key(tmp_path, capsys):
         write(tmp_path, MINIMAL, "minimal.ini")
     )
     path = write(tmp_path, config.format("true"), "true.ini")
-    with pytest.raises(ConfigError, match="sweep.antithetic"):
-        load_config(path)
-    out = tmp_path / "x.csv"
-    assert main(["sweep", "--config", path, "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and "sweep.antithetic" in err
-    assert not out.exists()
+    assert_rejected(tmp_path, capsys, path, "sweep.antithetic")
 
 
 def test_bench_config_loads():
@@ -255,13 +277,13 @@ def test_single_point_sweep_has_nine_sorted_rows():
     assert len(rows) == 9
     keys = [(r.scheme.value, r.node.value, r.pt_db) for r in rows]
     assert keys == sorted(keys)
-    assert all(r.outage_mc is None and r.mc_se is None for r in rows)
+    assert all(r.mc is None for r in rows)
 
 
 def test_sweep_mc_columns_present_iff_requested():
     cfg, _ = load_config(REFERENCE)
     rows = run_sweep(cfg, single_point_spec(with_mc=True))
-    assert all(r.outage_mc is not None and r.mc_se is not None for r in rows)
+    assert all(r.mc is not None for r in rows)
 
 
 def test_sweep_deterministic():
@@ -278,8 +300,7 @@ def test_point_evaluation_equals_sweep_row_bit_for_bit():
     assert len(rows) == 117
     for row in rows:
         point = evaluate_outage(replace(cfg, p_t=row.pt_db), row.scheme, row.node)
-        assert point.probability == row.outage_cf, row
-        assert point.converged == row.converged, row
+        assert point == row.closed, row
 
 
 def test_mc_point_equals_sweep_row_bit_for_bit():
@@ -291,7 +312,7 @@ def test_mc_point_equals_sweep_row_bit_for_bit():
     assert len(rows) == 117
     for row in rows:
         point = mc_outage(replace(cfg, p_t=row.pt_db), row.scheme, row.node, mc)
-        assert (point.probability, point.std_error) == (row.outage_mc, row.mc_se), row
+        assert point == row.mc, row
 
 
 def test_sweep_mc_columns_equal_standalone_curves():
@@ -305,9 +326,7 @@ def test_sweep_mc_columns_equal_standalone_curves():
             pair = (scheme, node)
             rows = [r for r in sweep if (r.scheme, r.node) == pair]
             curve = mc_outage_curves(cfg, [pair], grid, mc)[pair]
-            assert [(r.outage_mc, r.mc_se) for r in rows] == [
-                (est.probability, est.std_error) for est in curve
-            ], pair
+            assert [r.mc for r in rows] == curve, pair
 
 
 def test_sweep_spec_validation():
@@ -324,18 +343,18 @@ def test_sweep_spec_validation():
     # finite ends whose span overflows: no finite number of power points
     with pytest.raises(ValueError, match="pt_start_db .*pt_stop_db .*pt_step_db"):
         SweepSpec(-1e308, 1e308, 5.0, tuple(Scheme), tuple(Node), False, McSettings(seed=1))
+    # the longest grid allowed, and one point more
+    n = MAX_POWER_POINTS
+    spec = SweepSpec(0.0, n - 1.0, 1.0, tuple(Scheme), tuple(Node), False, McSettings(seed=1))
+    assert len(spec.power_grid()) == n
+    with pytest.raises(ValueError, match=f"more than {n} power points"):
+        SweepSpec(0.0, float(n), 1.0, tuple(Scheme), tuple(Node), False, McSettings(seed=1))
 
 
 def test_power_grid_without_finite_point_count_rejected(tmp_path, capsys):
     sweep = "\n[sweep]\npt_start_db = -1e308\npt_stop_db = 1e308\n"
-    path = write(tmp_path, MINIMAL + sweep)
-    with pytest.raises(ConfigError, match="pt_start_db .*pt_stop_db .*pt_step_db"):
-        load_config(path)
-    out = tmp_path / "x.csv"
-    assert main(["sweep", "--config", path, "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and "pt_step_db" in err
-    assert not out.exists()
+    named = "pt_start_db .*pt_stop_db .*pt_step_db"
+    assert_rejected(tmp_path, capsys, write(tmp_path, MINIMAL + sweep), named)
 
 
 # ---------------------------------------------------------------------------
@@ -362,10 +381,10 @@ def test_emit_csv_round_trip(tmp_path):
         scheme, node, pt, cf, conv, mc, se = line.split(",")
         assert scheme == row.scheme.value and node == row.node.value
         assert math.isclose(float(pt), row.pt_db, rel_tol=1e-9)
-        assert math.isclose(float(cf), row.outage_cf, rel_tol=1e-9, abs_tol=1e-300)
-        assert conv == ("true" if row.converged else "false")
-        assert math.isclose(float(mc), row.outage_mc, rel_tol=1e-9, abs_tol=1e-300)
-        assert math.isclose(float(se), row.mc_se, rel_tol=1e-9, abs_tol=1e-300)
+        assert math.isclose(float(cf), row.closed.probability, rel_tol=1e-9, abs_tol=1e-300)
+        assert conv == ("true" if row.closed.converged else "false")
+        assert math.isclose(float(mc), row.mc.probability, rel_tol=1e-9, abs_tol=1e-300)
+        assert math.isclose(float(se), row.mc.std_error, rel_tol=1e-9, abs_tol=1e-300)
 
 
 def test_emit_plot_data_blocks(tmp_path):
@@ -632,7 +651,7 @@ def test_mc_sweep_at_underflowing_power_is_certain_outage():
         single_point_spec(with_mc=True), pt_start_db=-4000.0, pt_stop_db=-4000.0
     )
     rows = run_sweep(cfg, spec)
-    assert [(r.outage_mc, r.mc_se) for r in rows] == [(1.0, 0.0)] * 9
+    assert [(r.mc.probability, r.mc.std_error) for r in rows] == [(1.0, 0.0)] * 9
 
 
 def test_cli_point_at_underflowing_power_is_certain_outage(capsys):
