@@ -12,7 +12,8 @@ the diffuse component: exponential power (Rayleigh fading) for any m.
 
 All functions are pure; samplers take an explicit numpy Generator and a
 sample count, always return an ndarray, and keep a fixed draw order, so
-seeded streams reproduce bit for bit.
+seeded streams reproduce bit for bit.  numpy is imported only where
+samples are drawn, so the closed form loads without it.
 """
 
 from __future__ import annotations
@@ -20,11 +21,12 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .specfun import gauss_2f1
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "RicianShadowedParams",
@@ -124,37 +126,6 @@ def rician_shadowed_moment(p: RicianShadowedParams, order: int) -> float:
     return math.exp(log_m)
 
 
-def _alpha_shape_sums(k: float, m: float, k_tr: int) -> list[tuple[float, float]]:
-    """(sign, log |S(n)|) for n = 0..k_tr, where
-
-        S(n) = sum_{i=0}^{n} (-1)^(n-i) (m)_i (K/(K+m))^i / (i!^2 (n-i)!)
-
-    is the power-free alternating sum of the CDF expansion coefficient.
-    Each sum is accumulated with its largest log magnitude factored out;
-    signs are carried separately.
-    """
-    log_k_ratio = math.log(k) - math.log(k + m) if k > 0 else -math.inf
-    sums = []
-    for n in range(k_tr + 1):
-        signed_logs = []
-        for i in range(n + 1):
-            lg = (
-                (math.lgamma(m + i) - math.lgamma(m))
-                - 2.0 * math.lgamma(i + 1)
-                - math.lgamma(n - i + 1)
-            )
-            if i > 0:
-                lg += i * log_k_ratio
-            signed_logs.append((1.0 if (n - i) % 2 == 0 else -1.0, lg))
-        peak = max(lg for _, lg in signed_logs)
-        acc = math.fsum(sign * math.exp(lg - peak) for sign, lg in signed_logs)
-        if acc == 0.0:
-            sums.append((0.0, -math.inf))
-        else:
-            sums.append((math.copysign(1.0, acc), peak + math.log(abs(acc))))
-    return sums
-
-
 def _log_sum_exp(logs: list[float]) -> float:
     peak = max(logs)
     return peak + math.log(math.fsum(math.exp(x - peak) for x in logs))
@@ -168,9 +139,12 @@ class TruncatedSeries:
     where alpha(n) is the CDF expansion coefficient of X0.  Construction
     computes every part that does not depend on the mean powers:
 
-    * alpha(n) = exp(offset(n)) S(n), with the alternating sum S(n) of
-      `_alpha_shape_sums` depending only on (n, K, m), and the offset
-      (n+1)(log(1+K) - log P0 + log gamma) + m log(m/(K+m)) - log(n+1);
+    * alpha(n) = x^(n+1) (m/(K+m))^(m+n) (-1)^n F_n / (n+1)! with the series
+      argument x = (1+K) gamma / P0 and F_n = 2F1(-n, 1-m; 1; -K/m), one
+      terminating `gauss_2f1` call per order.  F_n is the Pfaff transform
+      (DLMF 15.8.1) of the alternating sum S(n) of Abdi et al. (IEEE TWC
+      2003), whose own terms cancel far below double precision near x = 15.
+      An F_n past double range (K/m above about 4e4) raises OverflowError;
     * log(E{Y_j^l}/l!) = l log P_j + shape_j(l) for l = 0..k_tr+1.
 
     `at` then costs O(J k_tr^2) with J interferers and O(k_tr) with none:
@@ -205,11 +179,18 @@ class TruncatedSeries:
         k, m = desired.k_factor, desired.m
         self._log_fact = [math.lgamma(j + 1) for j in range(k_tr + 2)]
         self._log_scale = math.log1p(k) + math.log(gamma)
-        const = m * (math.log(m) - math.log(k + m))
-        self._alpha = [
-            (sign, const - math.log(n + 1) + log_s)
-            for n, (sign, log_s) in enumerate(_alpha_shape_sums(k, m, k_tr))
-        ]
+        log_ratio = math.log(m) - math.log(k + m)
+        self._alpha = []
+        for n in range(k_tr + 1):
+            f_n = gauss_2f1(-n, 1.0 - m, 1.0, -k / m)
+            if not math.isfinite(f_n):
+                raise OverflowError(
+                    f"CDF coefficient of order {n}: its 2F1 factor overflows "
+                    f"double precision (K/m = {k / m:.6g})"
+                )
+            sign = (-1.0) ** n * math.copysign(1.0, f_n)
+            log_f = math.log(abs(f_n)) if f_n else -math.inf
+            self._alpha.append((sign, (m + n) * log_ratio - self._log_fact[n + 1] + log_f))
         self._shapes = [
             [0.0] + [_log_moment_shape(q, order) for order in range(1, k_tr + 2)]
             for q in interferers
@@ -311,6 +292,8 @@ def sample_rician_shadowed(
     standard draw), so it equals the same generator's
     (sqrt(gamma(m, Omega/m)) + normal(0, s))^2 + normal(0, s)^2 bit for bit.
     """
+    import numpy as np
+
     if p.k_factor == 0:
         return rng.exponential(p.mean_power, size)
     omega = p.mean_power * p.k_factor / (1.0 + p.k_factor)

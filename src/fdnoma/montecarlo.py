@@ -25,18 +25,20 @@ are therefore correlated; each point's standard error is still valid on
 its own.  `mc_outage` is the one-pair, one-point case, so a point estimate
 equals the matching sweep row bit for bit.  Every link, the estimation
 error included, is Rician shadowed, so one sampler draws them all.
+As in `channel`, numpy is imported only inside the functions that use it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .channel import sample_rician_shadowed
 from .outage import Node, Scheme, SignalModel, SystemConfig, db_to_linear, signal_model
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["McSettings", "McEstimate", "mc_outage", "mc_outage_curves"]
 
@@ -62,6 +64,8 @@ class McEstimate:
 
 
 def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
+    import numpy as np
+
     return np.random.default_rng(np.random.SeedSequence([seed & _SEED_MASK, batch_index]))
 
 
@@ -73,6 +77,8 @@ def _thresholds(gamma: float, pt_grid_db: Sequence[float]) -> np.ndarray:
     leaves only noise, so every sample is in outage, bound +inf (also at
     gamma = 0, where gamma * inf would be NaN).
     """
+    import numpy as np
+
     powers = [db_to_linear(pt_db) for pt_db in pt_grid_db]
     return np.array([math.inf if p == 0.0 else gamma / p for p in powers], dtype=float)
 
@@ -108,7 +114,7 @@ def _outage_counts(margin: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     its right insertion point, so ties count as outage.
     """
     margin.sort()
-    return np.searchsorted(margin, thresholds, side="right")
+    return margin.searchsorted(thresholds, side="right")
 
 
 def _estimate(count: int, num_samples: int) -> McEstimate:
@@ -142,6 +148,8 @@ def mc_outage_curves(
     underflows to 0 as certain outage.  The transmit power `cfg.p_t`
     itself is not used.
     """
+    import numpy as np
+
     models = {pair: signal_model(cfg, *pair) for pair in pairs}
     thresholds = {pair: _thresholds(model.gamma, pt_grid_db) for pair, model in models.items()}
     counts = {pair: np.zeros(len(pt_grid_db), dtype=np.int64) for pair in models}

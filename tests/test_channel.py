@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
@@ -175,12 +176,75 @@ def test_alpha_against_extended_precision_brute_force():
     assert alpha(2, p, 0.1) == pytest.approx(0.0010290120442708335047, rel=1e-11)
 
 
+def test_alpha_with_a_zero_2f1_factor():
+    # K = 1, m = 2: F_2 = 2F1(-2, -1; 1; -1/2) = 1 - 2 K/m = 0 exactly, so
+    # alpha(2) vanishes and the orders around it are unaffected
+    p = RicianShadowedParams(1.0, 1.0, 2.0)
+    assert alpha(2, p, 0.3) == 0.0
+    # alpha(3) = x^4 (m/(K+m))^m S(3) / 4 at x = 0.6, S(3) = 2/81 by hand
+    assert alpha(3, p, 0.3) == pytest.approx(0.6**4 * (2 / 3) ** 2 * (2 / 81) / 4, rel=1e-13)
+
+
 def test_alpha_signs_alternate_eventually():
     # the expansion is alternating once the threshold term dominates
     p = RicianShadowedParams(1.0, 10.0, 10.0)
     coeffs = [alpha(n, p, 0.05) for n in range(6)]
     assert coeffs[0] > 0
     assert any(c < 0 for c in coeffs[1:])
+
+
+def exact_alpha_shapes(k, m, n_max):
+    """alpha(n) / x^(n+1) for n = 0..n_max, at series argument
+    x = (1 + K) gamma / P:
+
+        alpha(n) = x^(n+1) (m/(K+m))^m S(n) / (n+1),
+        S(n) = sum_{i=0}^{n} (-1)^(n-i) (m)_i (K/(K+m))^i / (i!^2 (n-i)!),
+
+    summed term by term at 80 digits, so the sum's cancellation costs
+    nothing."""
+    with mpmath.workdps(80):
+        k, m = mpmath.mpf(k), mpmath.mpf(m)
+        q = k / (k + m)
+        lead = (m / (k + m)) ** m
+        return [
+            lead / (n + 1) * mpmath.fsum(
+                (-1) ** (n - i) * mpmath.rf(m, i) * q**i
+                / (mpmath.factorial(i) ** 2 * mpmath.factorial(n - i))
+                for i in range(n + 1)
+            )
+            for n in range(n_max + 1)
+        ]
+
+
+@pytest.mark.parametrize("k,m", [(10.0, 3.0), (10.0, 10.0), (0.556, 5.21), (4.08, 19.4)])
+def test_series_high_orders_against_extended_precision(k, m):
+    # the interference-free series at k_tr 40 and 63 against the exact
+    # truncated sum, clamped to [0, 1] as the series is.  A double term
+    # carries a relative rounding error up to about 1e-13 (log-space
+    # magnitudes) and, for m > 1, up to about 2e-9 from the 2F1 factor's
+    # alternating first terms, so the sum may also miss by 1e-12 of its
+    # largest term: 2e-7 for (0.556, 5.21) and 2e-8 for (4.08, 19.4) at
+    # x = 20
+    p = RicianShadowedParams(1.0, k, m)
+    shapes = exact_alpha_shapes(k, m, 63)
+    for x in (5.0, 10.0, 15.0, 20.0):
+        with mpmath.workdps(80):
+            terms = [mpmath.mpf(x) ** (n + 1) * s for n, s in enumerate(shapes)]
+            for k_tr in (40, 63):
+                want = float(min(max(mpmath.fsum(terms[: k_tr + 1]), 0), 1))
+                tol = 1e-10 + 1e-12 * float(max(abs(t) for t in terms[: k_tr + 1]))
+                series = TruncatedSeries(p, (), x / (1.0 + k), k_tr)
+                got = series.at(1.0, ()).probability
+                assert abs(got - want) <= tol, (x, k_tr, got, want)
+
+
+def test_coefficient_past_double_range_is_a_named_overflow():
+    # K/m = 2e6: the 2F1 factor of order 49 leaves double range, so the
+    # series cannot be built past order 48
+    p = RicianShadowedParams(1.0, 1e5, 0.05)
+    TruncatedSeries(p, (), 0.1, 48)
+    with pytest.raises(OverflowError, match=r"order 49: .* \(K/m = 2e\+06\)"):
+        TruncatedSeries(p, (), 0.1, 63)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 import re
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -279,6 +280,51 @@ def test_fd_floor_between_60_and_70_db():
         p60 = evaluate_outage(suburban(pt_db=60.0), Scheme.FD_NOMA, node).probability
         p70 = evaluate_outage(suburban(pt_db=70.0), Scheme.FD_NOMA, node).probability
         assert abs(p60 - p70) <= 0.1 * max(p60, p70)
+
+
+def mixture_cdf(k, m, x):
+    """P(X <= x) for unit-mean Rician shadowed X, at 50 digits.
+
+    Given the line-of-sight power, X is a scaled noncentral chi-square,
+    so X is a negative-binomial mixture of Gamma(j + 1, 1/(1+K)) laws with
+    weights (m)_j / j! (m/(K+m))^m (K/(K+m))^j.  The weights left out
+    sum to less than 1e-30, which bounds the error.
+    """
+    with mpmath.workdps(50):
+        k, m, x = mpmath.mpf(k), mpmath.mpf(m), mpmath.mpf(x)
+        q = k / (k + m)
+        weight = (m / (k + m)) ** m
+        total = weights = mpmath.mpf(0)
+        j = 0
+        while 1 - weights > mpmath.mpf(10) ** -30:
+            total += weight * mpmath.gammainc(j + 1, 0, x * (1 + k), regularized=True)
+            weights += weight
+            weight *= (m + j) / (j + 1) * q
+            j += 1
+        return float(total)
+
+
+@pytest.mark.parametrize(
+    "k,m,r_oma,pt_db,k_tr",
+    [
+        # series argument (1+K) gamma / P about 28: truncation needs k_tr 63
+        (20.0, 10.0, 0.2, 0.0, 63),
+        # arguments 18.9 and 27.9
+        (20.0, 3.0, 1.0, 10.0, 25),
+        (20.0, 3.0, 1.0, 10.0, 40),
+        (20.0, 3.0, 1.0, 10.0, 63),
+        (30.0, 3.0, 1.0, 10.0, 25),
+        (30.0, 3.0, 1.0, 10.0, 63),
+    ],
+)
+def test_hd_oma_gs_meets_mixture_truth_at_large_series_arguments(k, m, r_oma, pt_db, k_tr):
+    cfg = suburban(pt_db=pt_db, r_oma=r_oma, k_tr=k_tr)
+    cfg = replace(cfg, fading=replace(cfg.fading, link_1g=unit_link(k, m)))
+    model = signal_model(cfg, Scheme.HD_OMA, Node.GS)
+    truth = mixture_cdf(k, m, model.gamma / model.desired.mean_power(db_to_linear(pt_db)))
+    result = evaluate_outage(cfg, Scheme.HD_OMA, Node.GS)
+    assert result.converged
+    assert abs(result.probability - truth) <= 1e-9, (result.probability, truth)
 
 
 def test_probabilities_in_unit_interval_fuzz():

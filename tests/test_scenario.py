@@ -4,6 +4,8 @@ import configparser
 import math
 import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
@@ -499,6 +501,53 @@ def test_cli_sweep_fails_every_row_of_a_curve_that_cannot_be_built(tmp_path, cap
     assert all(",nan," not in line for line in lines if line not in failed)
     assert main(["sweep", "--config", path, "--out", str(out), "--strict"]) == 2
     assert "warning: 3 row(s)" in capsys.readouterr().err
+
+
+def test_cli_sweep_fails_every_row_whose_cdf_coefficients_overflow(tmp_path, capsys):
+    # K/m = 2e6 on the uplink: at k_tr 63 the 2F1 factor of its CDF
+    # coefficient of order 49 leaves double range, so the three ground
+    # station curves, whose desired link it is, fail with that reason
+    fading = "\n[fading]\nk_1g = 1e5\nm_1g = 0.05\n"
+    sweep = "\n[sweep]\npt_start_db = 0\npt_stop_db = 10\n"
+    path = write(tmp_path, MINIMAL + fading + sweep)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", path, "--out", str(out), "--ktr", "63"]) == 0
+    assert capsys.readouterr().err == (
+        "warning: 9 row(s) failed to evaluate (first: fd_noma gs at 0 dB: "
+        "OverflowError: CDF coefficient of order 49: its 2F1 factor overflows "
+        "double precision (K/m = 2e+06))\n"
+    )
+    lines = out.read_text(encoding="utf-8").splitlines()[1:]
+    failed = [line for line in lines if line.split(",")[1] == "gs"]
+    assert failed == [
+        f"{scheme},gs,{pt},nan,false,,"
+        for scheme in ("fd_noma", "hd_noma", "hd_oma")
+        for pt in (0, 5, 10)
+    ]
+    assert all(",nan," not in line for line in lines if line not in failed)
+
+
+def test_closed_form_path_does_not_load_numpy():
+    # numpy is imported where samples are drawn; a closed-form point, the
+    # loader and a sweep without Monte Carlo never get there
+    script = f"""
+import sys
+from dataclasses import replace
+import fdnoma
+cfg, spec = fdnoma.load_config({REFERENCE!r})
+fdnoma.evaluate_outage(cfg, fdnoma.Scheme.HD_OMA, fdnoma.Node.GS)
+fdnoma.run_sweep(cfg, spec)
+print("numpy" in sys.modules)
+fdnoma.run_sweep(cfg, replace(spec, with_mc=True, mc=fdnoma.McSettings(num_samples=1000)))
+print("numpy" in sys.modules)
+"""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "True"]
 
 
 def test_cli_point_invalid_scheme():
