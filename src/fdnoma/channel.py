@@ -18,6 +18,7 @@ samples are drawn, so the closed form loads without it.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -131,30 +132,41 @@ def _log_sum_exp(logs: list[float]) -> float:
     return peak + math.log(math.fsum(math.exp(x - peak) for x in logs))
 
 
-class TruncatedSeries:
-    """Truncated series for P(X0 <= gamma (1 + sum_j Y_j)), tabulated once
-    for any mean powers of the desired link X0 and the interferers Y_j.
+def _log_convolve(a: list[float], b: list[float]) -> list[float]:
+    """Entries 0..len(a)-1 of the convolution of exp(a) and exp(b), as logs:
+    one pass of log-sum-exp per entry."""
+    return [
+        _log_sum_exp(list(map(operator.add, a[: k + 1], b[k::-1])))
+        for k in range(len(a))
+    ]
 
-    Order n of the series is alpha(n) E{(1 + sum_j Y_j)^(n+1)}, n = 0..k_tr,
-    where alpha(n) is the CDF expansion coefficient of X0.  Construction
-    computes every part that does not depend on the mean powers:
+
+class TruncatedSeries:
+    """Truncated series for P(p X0 <= gamma (1 + p S)), S = sum_j Y_j,
+    tabulated once for every transmit power p.
+
+    Each link's `mean_power` is its mean at unit transmit power.  Order n
+    of the series is alpha(n) E{(1 + p S)^(n+1)}, n = 0..k_tr, where
+    alpha(n) is the CDF expansion coefficient of p X0.  Construction
+    computes every part that does not depend on p:
 
     * alpha(n) = x^(n+1) (m/(K+m))^(m+n) (-1)^n F_n / (n+1)! with the series
-      argument x = (1+K) gamma / P0 and F_n = 2F1(-n, 1-m; 1; -K/m), one
+      argument x = (1+K) gamma / (p P0) and F_n = 2F1(-n, 1-m; 1; -K/m), one
       terminating `gauss_2f1` call per order.  F_n is the Pfaff transform
       (DLMF 15.8.1) of the alternating sum S(n) of Abdi et al. (IEEE TWC
       2003), whose own terms cancel far below double precision near x = 15.
       An F_n past double range (K/m above about 4e4) raises OverflowError;
-    * log(E{Y_j^l}/l!) = l log P_j + shape_j(l) for l = 0..k_tr+1.
+    * log(E{S^l}/l!) for l = 0..k_tr+1, convolving the J interferers'
+      log(E{Y_j^l}/l!) = l log P_j + shape_j(l) in log space with
+      log-sum-exp: J - 1 passes.
 
-    `at` then costs O(J k_tr^2) with J interferers and O(k_tr) with none:
-    E{(1 + sum_j Y_j)^k}/k! is entry k of the convolution of the sequences
-    1/l! (the unit noise term) and E{Y_j^l}/l!, formed in log space with
-    log-sum-exp.  With no interferers the expectation is 1 and the series
-    is the plain truncated CDF P(X0 <= gamma).
-
-    Only the K factor and shadowing m of `desired` and the fading law of
-    each interferer are used here; `at` takes the mean powers.
+    The power enters only as l log p: on entry l of that table, since
+    E{(p S)^l} = p^l E{S^l}, and as -(n+1) log p in order n.  `at` then
+    costs one pass, O(k_tr^2), for any J >= 1 and O(k_tr) with none:
+    E{(1 + p S)^k}/k! is entry k of the convolution of 1/l! (the unit
+    noise term) with the offset table.  With no interferers the
+    expectation is 1 and the series is the plain truncated CDF
+    P(p X0 <= gamma).
     """
 
     def __init__(
@@ -173,12 +185,11 @@ class TruncatedSeries:
                 f"moment order {k_tr + 1} exceeds supported maximum {MAX_MOMENT_ORDER}"
             )
         self.gamma = gamma
-        self._num_interferers = len(interferers)
         if gamma == 0.0 or math.isinf(gamma):
             return
         k, m = desired.k_factor, desired.m
         self._log_fact = [math.lgamma(j + 1) for j in range(k_tr + 2)]
-        self._log_scale = math.log1p(k) + math.log(gamma)
+        self._log_scale = math.log1p(k) + math.log(gamma) - math.log(desired.mean_power)
         log_ratio = math.log(m) - math.log(k + m)
         self._alpha = []
         for n in range(k_tr + 1):
@@ -191,43 +202,28 @@ class TruncatedSeries:
             sign = (-1.0) ** n * math.copysign(1.0, f_n)
             log_f = math.log(abs(f_n)) if f_n else -math.inf
             self._alpha.append((sign, (m + n) * log_ratio - self._log_fact[n + 1] + log_f))
-        self._shapes = [
-            [0.0] + [_log_moment_shape(q, order) for order in range(1, k_tr + 2)]
+        tables = [
+            [0.0] + [
+                order * math.log(q.mean_power) + _log_moment_shape(q, order)
+                for order in range(1, k_tr + 2)
+            ]
             for q in interferers
         ]
+        self._log_sum_moments = functools.reduce(_log_convolve, tables) if tables else None
 
-    def _log_power_moments(self, interferer_means: Sequence[float]) -> list[float]:
-        """log E{(1 + sum_j Y_j)^k} for k = 1..k_tr+1."""
+    def _log_power_moments(self, power: float) -> list[float]:
+        """log E{(1 + power S)^k} for k = 1..k_tr+1."""
         log_fact = self._log_fact
-        if not interferer_means:
+        if self._log_sum_moments is None:
             return [0.0] * (len(log_fact) - 1)
-        acc = [-lf for lf in log_fact]
-        for shape, mean in zip(self._shapes, interferer_means):
-            if mean == 0.0:
-                continue  # moments 0 past order 0: the convolution's identity
-            log_mean = math.log(mean)
-            seq = [order * log_mean + s for order, s in enumerate(shape)]
-            acc = [
-                _log_sum_exp(list(map(operator.add, acc[: k + 1], seq[k::-1])))
-                for k in range(len(acc))
-            ]
+        log_power = math.log(power)
+        scaled = [order * log_power + s for order, s in enumerate(self._log_sum_moments)]
+        acc = _log_convolve([-lf for lf in log_fact], scaled)
         return [a + lf for a, lf in zip(acc[1:], log_fact[1:])]
 
-    def _log_terms(
-        self, desired_mean: float, interferer_means: Sequence[float]
-    ) -> list[tuple[float, float]]:
-        """(sign, log |term|) of the series orders 0..k_tr."""
-        scale = self._log_scale - math.log(desired_mean)
-        return [
-            (sign, (n + 1) * scale + base + log_e)
-            for n, ((sign, base), log_e) in enumerate(
-                zip(self._alpha, self._log_power_moments(interferer_means))
-            )
-        ]
-
-    def at(self, desired_mean: float, interferer_means: Sequence[float]) -> OutageResult:
-        """Evaluate the series at the given mean powers; the record's
-        `threshold_used` is the series threshold gamma.
+    def at(self, power: float) -> OutageResult:
+        """Evaluate the series at transmit power `power` (finite, > 0); the
+        record's `threshold_used` is the series threshold gamma.
 
         The truncated sum is clamped to [0, 1]; the alternating series can
         slightly overshoot before it has converged.  `converged` goes false
@@ -237,17 +233,15 @@ class TruncatedSeries:
         about the sum.  A zero threshold gives 0 and an infinite one
         certain outage.
         """
-        if len(interferer_means) != self._num_interferers:
-            raise ValueError(
-                f"expected {self._num_interferers} interferer mean powers, "
-                f"got {len(interferer_means)}"
-            )
         if self.gamma == 0.0:
             return OutageResult(0.0, self.gamma, True)
         if math.isinf(self.gamma):
             return OutageResult(1.0, self.gamma, True)
+        scale = self._log_scale - math.log(power)
         terms = []
-        for n, (sign, log_mag) in enumerate(self._log_terms(desired_mean, interferer_means)):
+        log_moments = self._log_power_moments(power)
+        for n, ((sign, base), log_e) in enumerate(zip(self._alpha, log_moments)):
+            log_mag = (n + 1) * scale + base + log_e
             if log_mag > _LOG_HUGE:
                 raise OverflowError(
                     f"series term of order {n} overflows double precision "

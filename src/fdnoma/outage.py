@@ -32,7 +32,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .channel import MAX_MOMENT_ORDER, OutageResult, RicianShadowedParams, TruncatedSeries
 
@@ -309,10 +309,11 @@ class OutageCurve:
     """Closed-form outage of one (scheme, node) pair over transmit power.
 
     Everything that does not depend on the transmit power (the threshold
-    and the `TruncatedSeries` tables) is computed once, here; `at` then
-    evaluates one power point.  `evaluate_outage` is the one-point case,
-    so a point evaluation equals the matching sweep row bit for bit.  The
-    transmit power `cfg.p_t` itself is not used.
+    and the `TruncatedSeries` tables, built from each link's mean at unit
+    power, gain / loss) is computed once, here; `at` then evaluates one
+    power point.  `evaluate_outage` is the one-point case, so a point
+    evaluation equals the matching sweep row bit for bit.  The transmit
+    power `cfg.p_t` itself is not used.
     """
 
     def __init__(self, cfg: SystemConfig, scheme: Scheme, node: Node):
@@ -320,32 +321,36 @@ class OutageCurve:
         threshold = model.gamma
         if model.split is not None:
             threshold = noma_effective_threshold(model.gamma, *model.split)
-        self._links = (model.desired,) + model.interferers
-        self._series = TruncatedSeries(
-            model.desired.fading,
-            [link.fading for link in model.interferers],
-            threshold,
-            cfg.k_tr,
-        )
+        desired, *interferers = [
+            replace(link.fading, mean_power=link.mean_power(1.0))
+            for link in (model.desired,) + model.interferers
+            # an interferer whose unit-power mean underflows to 0 (phase noise
+            # far below the noise floor) adds nothing; gain / loss of the
+            # desired link is normal
+            if link.mean_power(1.0) > 0.0
+        ]
+        self._desired_mean = desired.mean_power
+        self._peak_mean = max(q.mean_power for q in (desired, *interferers))
+        self._series = TruncatedSeries(desired, interferers, threshold, cfg.k_tr)
 
     def at(self, pt_db: float) -> OutageResult:
         """Outage probability at transmit power pt_db (dB over the noise floor).
 
         A power whose desired mean underflows to 0 (10^(pt/10) is 0, or
         subnormal enough) leaves only noise: certain outage, as in Monte
-        Carlo, also at a zero threshold.  An interferer mean that underflows
-        to 0 drops out of the series.  A power at which 10^(pt/10) or a
-        link's mean power overflows raises an OverflowError that names it.
+        Carlo, also at a zero threshold.  An interferer mean too small for
+        a float is never formed: the series reads it as p^l in log space.
+        A power at which 10^(pt/10) or a link's mean power overflows raises
+        an OverflowError that names it.
         """
         pt_linear = db_to_linear(pt_db)
-        desired, *interferers = [link.mean_power(pt_linear) for link in self._links]
-        if desired == 0.0:
+        if pt_linear * self._desired_mean == 0.0:
             return OutageResult(1.0, self._series.gamma, True)
-        if not all(map(math.isfinite, (desired, *interferers))):
+        if not math.isfinite(pt_linear * self._peak_mean):
             raise OverflowError(
                 f"transmit power {pt_db:g} dB is out of float range (a link's mean power overflows)"
             )
-        return self._series.at(desired, interferers)
+        return self._series.at(pt_linear)
 
 
 def evaluate_outage(cfg: SystemConfig, scheme: Scheme, node: Node) -> OutageResult:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from fdnoma import channel
 from fdnoma.channel import (
     MAX_MOMENT_ORDER,
     OutageResult,
@@ -89,7 +90,7 @@ def test_exponential_moments():
     # E{(1 + Y)^k} for exponential Y of mean 1/2, with E{Y^l} = l!/2^l
     p = exponential(0.5)
     series = TruncatedSeries(RicianShadowedParams(1.0, 10.0, 10.0), [p], 0.1, 2)
-    log_moments = series._log_power_moments([p.mean_power])
+    log_moments = series._log_power_moments(1.0)
     assert [math.exp(x) for x in log_moments] == pytest.approx([1.5, 2.5, 4.75], rel=1e-14)
 
 
@@ -144,7 +145,7 @@ def alpha(n, p, gamma):
     def truncated(k_tr):
         if k_tr < 0:
             return 0.0
-        return TruncatedSeries(p, (), gamma, k_tr).at(p.mean_power, ()).probability
+        return TruncatedSeries(p, (), gamma, k_tr).at(1.0).probability
 
     return truncated(n) - truncated(n - 1)
 
@@ -234,7 +235,7 @@ def test_series_high_orders_against_extended_precision(k, m):
                 want = float(min(max(mpmath.fsum(terms[: k_tr + 1]), 0), 1))
                 tol = 1e-10 + 1e-12 * float(max(abs(t) for t in terms[: k_tr + 1]))
                 series = TruncatedSeries(p, (), x / (1.0 + k), k_tr)
-                got = series.at(1.0, ()).probability
+                got = series.at(1.0).probability
                 assert abs(got - want) <= tol, (x, k_tr, got, want)
 
 
@@ -253,7 +254,7 @@ def test_coefficient_past_double_range_is_a_named_overflow():
 
 def test_cdf_truncated_zero_threshold():
     p = RicianShadowedParams(1.0, 10.0, 10.0)
-    result = TruncatedSeries(p, (), 0.0, 25).at(p.mean_power, ())
+    result = TruncatedSeries(p, (), 0.0, 25).at(1.0)
     assert result == OutageResult(0.0, 0.0, True)
 
 
@@ -275,7 +276,7 @@ def test_cdf_matches_coefficient_sum():
                 / (math.factorial(n - i) * (n + 1))
             )
     series = TruncatedSeries(RicianShadowedParams(pbar, k, m), (), gamma, 25)
-    assert series.at(pbar, ()).probability == pytest.approx(math.fsum(terms), rel=1e-12)
+    assert series.at(1.0).probability == pytest.approx(math.fsum(terms), rel=1e-12)
 
 
 @pytest.mark.parametrize("m", [0.5, 1.0, 3.0])
@@ -284,7 +285,7 @@ def test_cdf_k_zero_is_exponential_cdf(m):
     # exponential CDF 1 - exp(-gamma / P), whatever m
     p = exponential(2.0, m)
     for gamma in (0.05, 0.3, 1.0):
-        result = TruncatedSeries(p, (), gamma, 25).at(p.mean_power, ())
+        result = TruncatedSeries(p, (), gamma, 25).at(1.0)
         assert result.converged
         assert abs(result.probability + math.expm1(-gamma / p.mean_power)) < 1e-15
 
@@ -293,8 +294,8 @@ def test_cdf_k_zero_is_exponential_cdf(m):
 def test_cdf_truncation_stability_unit_power(m):
     p = RicianShadowedParams(1.0, 10.0, m)
     for gamma in (0.05, 0.1, 0.2, 0.35, 0.5):
-        a = TruncatedSeries(p, (), gamma, 25).at(p.mean_power, ())
-        b = TruncatedSeries(p, (), gamma, 30).at(p.mean_power, ())
+        a = TruncatedSeries(p, (), gamma, 25).at(1.0)
+        b = TruncatedSeries(p, (), gamma, 30).at(1.0)
         assert a.converged and b.converged
         assert abs(a.probability - b.probability) < 1e-8
 
@@ -307,21 +308,21 @@ def test_cdf_matches_empirical(m, gamma):
     x = sample_rician_shadowed(p, rng_for(404), 10**6)
     emp = float(np.mean(x <= gamma))
     se = math.sqrt(max(emp * (1 - emp), 1e-12) / x.size)
-    closed = TruncatedSeries(p, (), gamma, 25).at(p.mean_power, ())
+    closed = TruncatedSeries(p, (), gamma, 25).at(1.0)
     assert abs(closed.probability - emp) < 3 * se
 
 
 def test_cdf_monotone_in_threshold():
     p = RicianShadowedParams(1.0, 10.0, 10.0)
     grid = np.linspace(0.0, 0.6, 40)
-    values = [TruncatedSeries(p, (), g, 25).at(p.mean_power, ()).probability for g in grid]
+    values = [TruncatedSeries(p, (), g, 25).at(1.0).probability for g in grid]
     assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
 
 
 def test_cdf_flags_divergence_far_outside_range():
     # threshold far beyond the expansion's reach: clamped and flagged
     p = RicianShadowedParams(0.05, 10.0, 10.0)
-    result = TruncatedSeries(p, (), 50.0, 25).at(p.mean_power, ())
+    result = TruncatedSeries(p, (), 50.0, 25).at(1.0)
     assert 0.0 <= result.probability <= 1.0
     assert not result.converged
 
@@ -348,12 +349,12 @@ def compositions(total, parts):
             yield (first,) + rest
 
 
-def brute_force_power_moment(interferers, k):
-    """E{(1 + sum_j Y_j)^k} by the multinomial theorem: a sum over every
-    composition of k across the noise slot and the interferers."""
+def brute_force_power_moment(interferers, k, power):
+    """E{(1 + power sum_j Y_j)^k} by the multinomial theorem: a sum over
+    every composition of k across the noise slot and the interferers."""
     total = []
     for parts in compositions(k, len(interferers) + 1):
-        term = float(math.factorial(k))
+        term = float(math.factorial(k)) * power ** (k - parts[0])
         for part in parts:
             term /= math.factorial(part)
         for q, part in zip(interferers, parts[1:]):
@@ -381,19 +382,37 @@ INTERFERER_SETS = [
 @pytest.mark.parametrize("interferers", INTERFERER_SETS)
 @pytest.mark.parametrize("k_tr", [0, 5, 12])
 def test_moment_convolution_matches_composition_sum(interferers, k_tr):
+    # one unit-power table serves every power, offset by l log(power)
     series = TruncatedSeries(RicianShadowedParams(1.0, 10.0, 10.0), interferers, 0.1, k_tr)
-    log_moments = series._log_power_moments([q.mean_power for q in interferers])
-    assert len(log_moments) == k_tr + 1
-    for k, log_moment in enumerate(log_moments, start=1):
-        want = brute_force_power_moment(interferers, k)
-        assert math.exp(log_moment) == pytest.approx(want, rel=1e-12), k
+    for power in (1e-3, 1.0, 1e3):
+        log_moments = series._log_power_moments(power)
+        assert len(log_moments) == k_tr + 1
+        for k, log_moment in enumerate(log_moments, start=1):
+            want = brute_force_power_moment(interferers, k, power)
+            assert math.exp(log_moment) == pytest.approx(want, rel=1e-12), (power, k)
 
 
-def test_series_takes_one_mean_per_interferer():
-    desired = RicianShadowedParams(1.0, 10.0, 10.0)
-    series = TruncatedSeries(desired, [exponential(1.0)], 0.1, 5)
-    with pytest.raises(ValueError):
-        series.at(1.0, [])
+@pytest.mark.parametrize("num_interferers", [1, 2, 3])
+def test_one_convolution_pass_per_power_point(monkeypatch, num_interferers):
+    # work count, not timing: the unit-power interference table costs J - 1
+    # log-sum-exp passes once, and each power point one more, whatever J
+    calls = []
+    log_sum_exp = channel._log_sum_exp
+
+    def counted(logs):
+        calls.append(len(logs))
+        return log_sum_exp(logs)
+
+    monkeypatch.setattr(channel, "_log_sum_exp", counted)
+    k_tr = 12
+    one_pass = k_tr + 2  # one call per order 0..k_tr+1
+    interferers = INTERFERER_SETS[-1][:num_interferers]
+    series = TruncatedSeries(RicianShadowedParams(1.0, 10.0, 10.0), interferers, 0.1, k_tr)
+    assert len(calls) == (num_interferers - 1) * one_pass
+    calls.clear()
+    for power in (1e-3, 1.0, 1e3):
+        series.at(power)
+    assert len(calls) == 3 * one_pass
 
 
 # ---------------------------------------------------------------------------

@@ -88,7 +88,7 @@ def test_degenerate_uav2_matches_plain_cdf():
     est = mc_outage(cfg, Scheme.FD_NOMA, Node.UAV2, FAST)
     gamma = sinr_threshold(rate_for(Scheme.FD_NOMA, cfg.r_oma))
     desired = RicianShadowedParams(db_to_linear(cfg.p_t) / 4.0, 10.0, 3.0)
-    want = TruncatedSeries(desired, (), gamma, 25).at(desired.mean_power, ()).probability
+    want = TruncatedSeries(desired, (), gamma, 25).at(1.0).probability
     assert abs(est.probability - want) < 3 * est.std_error
 
 

@@ -92,16 +92,16 @@ def test_series_trivial_thresholds():
     interferers = [unit_link(10.0, 3.0)]
     for gamma, want in ((0.0, 0.0), (math.inf, 1.0)):
         series = TruncatedSeries(desired, interferers, gamma, 25)
-        assert series.at(1.0, [1.0]).probability == want
+        assert series.at(1.0).probability == want
 
 
 def test_series_reduces_to_cdf_without_interferers():
     # a vanishing interferer leaves the interference-free CDF
     desired = RicianShadowedParams(0.8, 10.0, 3.0)
-    interferer = RicianShadowedParams(1.0, 10.0, 10.0)
+    interferer = RicianShadowedParams(1e-300, 10.0, 10.0)
     for gamma in (0.03, 0.1, 0.4):
-        lhs = TruncatedSeries(desired, [interferer], gamma, 25).at(0.8, [1e-300])
-        rhs = TruncatedSeries(desired, [], gamma, 25).at(0.8, [])
+        lhs = TruncatedSeries(desired, [interferer], gamma, 25).at(1.0)
+        rhs = TruncatedSeries(desired, [], gamma, 25).at(1.0)
         assert lhs.probability == pytest.approx(rhs.probability, rel=1e-12)
         assert lhs.converged == rhs.converged
 
@@ -113,7 +113,7 @@ def test_series_single_interferer_matches_monte_carlo():
     interferer = RicianShadowedParams(100.0 / 9.0, 10.0, 10.0)
     gamma = 0.0993
     series = TruncatedSeries(desired, [interferer], gamma, 25)
-    closed = series.at(desired.mean_power, [interferer.mean_power])
+    closed = series.at(1.0)
     n = 10**6
     x = sample_rician_shadowed(desired, rng, n)
     y = sample_rician_shadowed(interferer, rng, n)
@@ -212,13 +212,21 @@ def test_subnormal_power_band_reads_certain_outage_or_a_named_overflow():
 
 
 def test_underflowing_interferer_mean_drops_out_of_the_series():
-    desired = RicianShadowedParams(0.8, 10.0, 3.0)
-    interferer = RicianShadowedParams(1.0, 10.0, 10.0)
-    lhs = TruncatedSeries(desired, [interferer], 0.1, 25).at(0.8, [0.0])
-    assert lhs == TruncatedSeries(desired, [], 0.1, 25).at(0.8, [])
     # epsilon = 1e-320 puts the estimation error's mean at 0 by -40 dB
     tiny = OutageCurve(suburban(epsilon=1e-320), Scheme.FD_NOMA, Node.GS).at(-40.0)
     assert tiny == OutageCurve(suburban(epsilon=0.0), Scheme.FD_NOMA, Node.GS).at(-40.0)
+
+
+def test_underflowing_self_interference_ratio_drops_out_of_the_series():
+    # a phase-noise level 3869 dB under the noise floor gives a linear ratio
+    # of 0: the self-interference link adds nothing, as with a vanishing one
+    cfg = suburban()
+    none = OutageCurve(replace(cfg, phase_noise_power=-4000.0), Scheme.FD_NOMA, Node.GS)
+    tiny = OutageCurve(replace(cfg, phase_noise_power=-3000.0), Scheme.FD_NOMA, Node.GS)
+    for pt_db in (0.0, 20.0):
+        assert none.at(pt_db).probability == pytest.approx(
+            tiny.at(pt_db).probability, rel=1e-12
+        )
 
 
 @pytest.mark.parametrize("pt_db", [-200.0, -300.0])
@@ -238,7 +246,7 @@ def test_fd_uav_degenerate_collapse_to_cdf():
     gamma = sinr_threshold(rate_for(Scheme.FD_NOMA, cfg.r_oma))
     desired = RicianShadowedParams(db_to_linear(cfg.p_t) / 4.0, 10.0, 3.0)
     series = TruncatedSeries(desired, (), gamma / (1.0 - 1e-12), 25)
-    want = series.at(desired.mean_power, ()).probability
+    want = series.at(1.0).probability
     assert result.probability == pytest.approx(want, rel=1e-6)
 
 

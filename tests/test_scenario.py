@@ -34,6 +34,7 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 REFERENCE_CSV = os.path.join(DATA, "reference_cf.csv")
 REFERENCE_MC_CSV = os.path.join(DATA, "reference_mc.csv")
 REFERENCE_MC_2BATCH_CSV = os.path.join(DATA, "reference_mc_2batch.csv")
+REFERENCE_CF_1DB_K40_CSV = os.path.join(DATA, "reference_cf_1db_k40.csv")
 
 MINIMAL = """
 [geometry]
@@ -579,6 +580,16 @@ def test_cli_reference_two_batch_mc_sweep_matches_golden_csv(tmp_path):
     args = ["--config", REFERENCE, "--out", str(out), "--mc", "--samples", "300000", "--seed", "7"]
     assert main(["sweep"] + args) == 0
     with open(REFERENCE_MC_2BATCH_CSV, "rb") as handle:
+        assert out.read_bytes() == handle.read()
+
+
+def test_cli_dense_sweep_at_ktr_40_matches_golden_csv(tmp_path):
+    # the reference scenario at a 1 dB step (what bench/cf_sweep.ini holds),
+    # `fdnoma sweep --ktr 40`: all 549 rows of the benchmark's closed-form sweep
+    path = reference_with(tmp_path, "sweep", "pt_step_db", "1.0")
+    out = tmp_path / "reference_cf_1db_k40.csv"
+    assert main(["sweep", "--config", path, "--out", str(out), "--ktr", "40"]) == 0
+    with open(REFERENCE_CF_1DB_K40_CSV, "rb") as handle:
         assert out.read_bytes() == handle.read()
 
 
