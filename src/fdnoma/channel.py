@@ -1,8 +1,9 @@
 """Rician shadowed power distributions.
 
-Moments, the closed form's one series evaluator `TruncatedSeries` (the
-CDF expansion of a desired link against the moments of an interference
-sum) with its one result record `OutageResult`, and exact sampling.  The
+Moments (each link's log-moment table from one stable recurrence), the
+closed form's one series evaluator `TruncatedSeries` (the CDF expansion
+of a desired link against the moments of an interference sum) with its
+one result record `OutageResult`, and exact sampling.  The
 squared-envelope power X of a Rician shadowed link is parameterised by its
 mean power, Rician K factor and shadowing severity m (Nakagami shape of
 the line-of-sight amplitude).
@@ -80,24 +81,38 @@ class OutageResult:
     converged: bool
 
 
-def _log_moment_shape(p: RicianShadowedParams, order: int) -> float:
-    """log(E{X^order} / (order! mean_power^order)): the part of a log moment
-    that does not depend on the mean power.
+def _log_moment_shapes(p: RicianShadowedParams, max_order: int) -> list[float]:
+    """log(E{X^l} / (l! mean_power^l)) for l = 0..max_order: the part of
+    each log moment that does not depend on the mean power.
 
-    For Rician shadowed X (Abdi et al., IEEE TWC 2003) it is
-    -l log(1+K) + (m-1-l) log(m/(K+m)) + log 2F1(1-m, 1+l; 1; -K/m),
-    which is exactly 0 at K = 0 (exponential X) for any m; that case skips
-    the 2F1 evaluation.
+    For Rician shadowed X (Abdi et al., IEEE TWC 2003) entry l is
+    -l log(1+K) + (m-1-l) log(m/(K+m)) + log h(l), with
+    h(l) = 2F1(1-m, 1+l; 1; z) at z = -K/m.  As a sequence in l, h obeys
+    Gauss's contiguous relation in b = 1 + l (DLMF 15.5.16), and the
+    moments are its dominant solution, so the ratios r_l = h(l)/h(l-1)
+    run forward stably (Gautschi, SIAM Review 1967):
+
+        r_1 = (1 - m z)/(1 - z),
+        r_(l+1) = (2b - 1 + (1 - m - b) z - (b - 1)/r_l) / (b (1 - z)).
+
+    With h(0) = (1 - z)^(m-1), entry l is the sum over i <= l of
+    log r_i - log((1+K)/(1+K/m)): O(max_order) for any K >= 0 and m > 0,
+    and every entry is exactly 0 at K = 0 (exponential X), where every
+    ratio is exactly 1.  A table past double range (K/m above about 1e306)
+    raises OverflowError.
     """
-    if p.k_factor == 0:
-        return 0.0
     k, m = p.k_factor, p.m
-    hyp = gauss_2f1(1.0 - m, 1.0 + order, 1.0, -k / m)
-    return (
-        -order * math.log1p(k)
-        + (m - 1 - order) * (math.log(m) - math.log(k + m))
-        + math.log(hyp)
-    )
+    z = -k / m
+    drift = math.log1p(k) - math.log1p(k / m)
+    ratio = (1.0 - m * z) / (1.0 - z)
+    shapes = [0.0]
+    for order in range(1, max_order + 1):
+        shapes.append(shapes[-1] + math.log(ratio) - drift)
+        b = order + 1.0
+        ratio = (2.0 * b - 1.0 + (1.0 - m - b) * z - (b - 1.0) / ratio) / (b * (1.0 - z))
+    if not math.isfinite(shapes[-1]):
+        raise OverflowError(f"moment table leaves double range (K/m = {k / m:.6g})")
+    return shapes
 
 
 def rician_shadowed_moment(p: RicianShadowedParams, order: int) -> float:
@@ -117,7 +132,7 @@ def rician_shadowed_moment(p: RicianShadowedParams, order: int) -> float:
     log_m = (
         order * math.log(p.mean_power)
         + math.lgamma(order + 1)
-        + _log_moment_shape(p, order)
+        + _log_moment_shapes(p, order)[order]
     )
     if log_m > _LOG_HUGE:
         raise OverflowError(
@@ -158,7 +173,8 @@ class TruncatedSeries:
       An F_n past double range (K/m above about 4e4) raises OverflowError;
     * log(E{S^l}/l!) for l = 0..k_tr+1, convolving the J interferers'
       log(E{Y_j^l}/l!) = l log P_j + shape_j(l) in log space with
-      log-sum-exp: J - 1 passes.
+      log-sum-exp: J - 1 passes.  Each shape_j table is one forward ratio
+      recurrence, O(k_tr) for any K and m, with no 2F1 call.
 
     The power enters only as l log p: on entry l of that table, since
     E{(p S)^l} = p^l E{S^l}, and as -(n+1) log p in order n.  `at` then
@@ -203,9 +219,9 @@ class TruncatedSeries:
             log_f = math.log(abs(f_n)) if f_n else -math.inf
             self._alpha.append((sign, (m + n) * log_ratio - self._log_fact[n + 1] + log_f))
         tables = [
-            [0.0] + [
-                order * math.log(q.mean_power) + _log_moment_shape(q, order)
-                for order in range(1, k_tr + 2)
+            [
+                order * math.log(q.mean_power) + shape
+                for order, shape in enumerate(_log_moment_shapes(q, k_tr + 1))
             ]
             for q in interferers
         ]

@@ -13,7 +13,7 @@ from fdnoma.channel import (
     OutageResult,
     RicianShadowedParams,
     TruncatedSeries,
-    _log_moment_shape,
+    _log_moment_shapes,
     rician_shadowed_moment,
     sample_rician_shadowed,
 )
@@ -71,7 +71,7 @@ def test_higher_moments_against_extended_precision():
     for (m, order), want in refs.items():
         p = RicianShadowedParams(1.0, 10.0, m)
         assert rician_shadowed_moment(p, order) == pytest.approx(want, rel=1e-10)
-    # non-integer shadowing goes through the Pfaff-transformed series
+    # non-integer shadowing: the same recurrence, no terminating 2F1
     p = RicianShadowedParams(10.0, 0.1, 0.5)
     assert rician_shadowed_moment(p, 2) == pytest.approx(200.82644628099173554, rel=1e-9)
 
@@ -103,18 +103,57 @@ def test_exponential_moment_mc_cross_check():
 
 
 def test_log_moment_shape_is_zero_at_k_zero():
-    # with no line-of-sight power the formula's three parts vanish exactly
-    # for any m: log1p(0), log(m) - log(0 + m) and log 2F1(., .; 1; 0)
+    # with no line-of-sight power every ratio of the recurrence is exactly 1
+    # and its drift log1p(0) - log1p(0 / m) exactly 0, for any m
     for m in M_GRID + (7.3,):
         p = exponential(1.0, m)
-        for order in range(MAX_MOMENT_ORDER + 1):
-            assert _log_moment_shape(p, order) == 0.0
+        assert _log_moment_shapes(p, MAX_MOMENT_ORDER) == [0.0] * (MAX_MOMENT_ORDER + 1)
         # and it is the K -> 0 limit of the general formula
         near = RicianShadowedParams(1.0, 1e-12, m)
-        assert abs(_log_moment_shape(near, MAX_MOMENT_ORDER)) < 1e-9
+        assert abs(_log_moment_shapes(near, MAX_MOMENT_ORDER)[-1]) < 1e-9
         assert rician_shadowed_moment(exponential(2.5, m), 7) == pytest.approx(
             math.factorial(7) * 2.5**7, rel=1e-14
         )
+
+
+SHAPE_K_GRID = (0.0, 1e-6, 0.0071, 0.556, 4.08, 10.0, 1e3, 1e6)
+SHAPE_M_GRID = (0.05, 0.3, 0.739, 1.0, 3.0, 5.21, 10.0, 19.4, 50.0, 200.0)
+
+
+def test_log_moment_shapes_against_extended_precision():
+    # every entry of the recurrence's table against 50-digit mpmath.hyp2f1 of
+    # the Abdi et al. formula, over Abdi's measured (K, m) sets, K/m from
+    # 0 to 2e7, and integer and non-integer m alike
+    misses = []
+    with mpmath.workdps(50):
+        for k in SHAPE_K_GRID:
+            for m in SHAPE_M_GRID:
+                p = RicianShadowedParams(1.0, k, m)
+                shapes = _log_moment_shapes(p, MAX_MOMENT_ORDER)
+                assert len(shapes) == MAX_MOMENT_ORDER + 1
+                if k == 0:
+                    assert shapes == [0.0] * (MAX_MOMENT_ORDER + 1)
+                    continue
+                kk, mm = mpmath.mpf(k), mpmath.mpf(m)
+                for order, got in enumerate(shapes):
+                    want = float(
+                        -order * mpmath.log1p(kk)
+                        + (mm - 1 - order) * (mpmath.log(mm) - mpmath.log(kk + mm))
+                        + mpmath.log(mpmath.hyp2f1(1 - mm, 1 + order, 1, -kk / mm))
+                    )
+                    if abs(got - want) > 1e-12 * max(1.0, abs(want)):
+                        misses.append((k, m, order, got, want))
+                # the moment reads the same table
+                for order in (2, 17, MAX_MOMENT_ORDER):
+                    want_log = math.lgamma(order + 1) + shapes[order]
+                    if want_log < 700:
+                        assert rician_shadowed_moment(p, order) == math.exp(want_log)
+    assert not misses, misses[:5]
+
+
+def test_moment_table_past_double_range_is_a_named_overflow():
+    with pytest.raises(OverflowError, match="moment table leaves double range"):
+        _log_moment_shapes(RicianShadowedParams(1.0, 1e300, 1e-10), 3)
 
 
 def test_param_validation():
@@ -413,6 +452,29 @@ def test_one_convolution_pass_per_power_point(monkeypatch, num_interferers):
     for power in (1e-3, 1.0, 1e3):
         series.at(power)
     assert len(calls) == 3 * one_pass
+
+
+@pytest.mark.parametrize("num_interferers", [0, 1, 2, 3])
+def test_one_2f1_call_per_cdf_coefficient(monkeypatch, num_interferers):
+    # work count, not timing: building a series calls the terminating 2F1
+    # once per CDF coefficient and never for an interferer's moment table,
+    # whatever its K (0 included) and m (non-integer included)
+    calls = []
+    gauss_2f1 = channel.gauss_2f1
+
+    def counted(*args):
+        calls.append(args)
+        return gauss_2f1(*args)
+
+    monkeypatch.setattr(channel, "gauss_2f1", counted)
+    k_tr = 40
+    interferers = [
+        RicianShadowedParams(0.3, 0.0071, 0.739),
+        exponential(0.1, m=0.5),
+        RicianShadowedParams(3.0, 4.08, 19.4),
+    ][:num_interferers]
+    TruncatedSeries(RicianShadowedParams(1.0, 0.556, 5.21), interferers, 0.1, k_tr)
+    assert len(calls) == k_tr + 1
 
 
 # ---------------------------------------------------------------------------

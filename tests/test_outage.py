@@ -15,7 +15,7 @@ from fdnoma.channel import (
     TruncatedSeries,
     sample_rician_shadowed,
 )
-from fdnoma.montecarlo import McSettings, mc_outage
+from fdnoma.montecarlo import McSettings, mc_outage, mc_outage_curves
 from fdnoma.outage import (
     FadingSet,
     Link,
@@ -121,6 +121,37 @@ def test_series_single_interferer_matches_monte_carlo():
     se = math.sqrt(emp * (1 - emp) / n)
     assert closed.converged
     assert abs(closed.probability - emp) < 3 * se
+
+
+# Abdi et al.'s (IEEE TWC 2003) measured land-mobile satellite sets (K, m):
+# heavy, average and infrequent light shadowing
+ABDI_HEAVY = unit_link(0.0071, 0.739)
+ABDI_AVERAGE = unit_link(0.556, 5.21)
+ABDI_LIGHT = unit_link(4.08, 19.4)
+
+
+def test_fd_noma_meets_monte_carlo_with_abdi_shadowed_interferers():
+    # non-integer m on every FD interferer (SI, and the uplink at both
+    # UAVs), in two assignments of the three sets: 3 FD pairs x 2 = six
+    # curves, at 4 powers each.  |z| < 3.6 over all 24 rows holds with
+    # probability 0.992 (Bonferroni).
+    pairs = [(Scheme.FD_NOMA, node) for node in Node]
+    powers = [0.0, 10.0, 20.0, 30.0]
+    misses = []
+    for index, (si, up2, up3) in enumerate(
+        [(ABDI_HEAVY, ABDI_AVERAGE, ABDI_LIGHT), (ABDI_LIGHT, ABDI_HEAVY, ABDI_AVERAGE)]
+    ):
+        base = suburban(k_tr=40)
+        cfg = replace(base, fading=replace(base.fading, link_si=si, link_12=up2, link_13=up3))
+        estimates = mc_outage_curves(cfg, pairs, powers, McSettings(2**19, 4100 + index))
+        for pair in pairs:
+            curve = OutageCurve(cfg, *pair)
+            for pt, est in zip(powers, estimates[pair]):
+                closed = curve.at(pt)
+                z = abs(closed.probability - est.probability) / est.std_error
+                if not (closed.converged and z < 3.6):
+                    misses.append((index, pair[1].value, pt, closed, est, z))
+    assert not misses, misses
 
 
 # ---------------------------------------------------------------------------
