@@ -2,8 +2,9 @@
 
 Moments (each link's log-moment table from one stable recurrence), the
 closed form's one series evaluator `TruncatedSeries` (the CDF expansion
-of a desired link against the moments of an interference sum) with its
-one result record `OutageResult`, and exact sampling.  The
+of a desired link against the moments of an interference sum, whose
+coefficients each hold one terminating Gauss 2F1) with its one result
+record `OutageResult`, and exact sampling.  The
 squared-envelope power X of a Rician shadowed link is parameterised by its
 mean power, Rician K factor and shadowing severity m (Nakagami shape of
 the line-of-sight amplitude).
@@ -24,8 +25,6 @@ import math
 import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
-
-from .specfun import gauss_2f1
 
 if TYPE_CHECKING:
     import numpy as np
@@ -142,6 +141,18 @@ def rician_shadowed_moment(p: RicianShadowedParams, order: int) -> float:
     return math.exp(log_m)
 
 
+def _cdf_factor(n: int, b: float, z: float) -> float:
+    """F_n = 2F1(-n, b; 1; z), summed term by term: the series terminates
+    after n + 1 terms."""
+    total = 0.0
+    term = 1.0
+    for k in range(n + 1):
+        if k > 0:
+            term *= (k - 1 - n) * (b + k - 1) / (k * k) * z
+        total += term
+    return total
+
+
 def _log_sum_exp(logs: list[float]) -> float:
     peak = max(logs)
     return peak + math.log(math.fsum(math.exp(x - peak) for x in logs))
@@ -167,7 +178,7 @@ class TruncatedSeries:
 
     * alpha(n) = x^(n+1) (m/(K+m))^(m+n) (-1)^n F_n / (n+1)! with the series
       argument x = (1+K) gamma / (p P0) and F_n = 2F1(-n, 1-m; 1; -K/m), one
-      terminating `gauss_2f1` call per order.  F_n is the Pfaff transform
+      terminating `_cdf_factor` sum per order.  F_n is the Pfaff transform
       (DLMF 15.8.1) of the alternating sum S(n) of Abdi et al. (IEEE TWC
       2003), whose own terms cancel far below double precision near x = 15.
       An F_n past double range (K/m above about 4e4) raises OverflowError;
@@ -209,7 +220,7 @@ class TruncatedSeries:
         log_ratio = math.log(m) - math.log(k + m)
         self._alpha = []
         for n in range(k_tr + 1):
-            f_n = gauss_2f1(-n, 1.0 - m, 1.0, -k / m)
+            f_n = _cdf_factor(n, 1.0 - m, -k / m)
             if not math.isfinite(f_n):
                 raise OverflowError(
                     f"CDF coefficient of order {n}: its 2F1 factor overflows "

@@ -88,12 +88,13 @@ def _margin(
 ) -> np.ndarray:
     """The power-free SINR margin Z of each sample of unit-mean draws.
 
-    With X = pt (gain/loss) x and Y_j = pt (gain_j/loss_j) y_j, the SINR is
+    With X = pt u x and Y_j = pt u_j y_j, where u and u_j are the links'
+    unit-power means (`Link.unit_mean`), the SINR is
     X / (sum_j Y_j + 1), or alloc X / (residual (1 - alloc) X + sum_j Y_j + 1)
     under the split (alloc, residual).  Its denominator is positive, so
     multiplying SINR <= gamma through by it, and dividing by pt > 0, gives
     the same event as Z <= gamma / pt with
-        Z = c (gain/loss) x - gamma sum_j (gain_j/loss_j) y_j,
+        Z = c u x - gamma sum_j u_j y_j,
     where c = 1 without a split and alloc - gamma residual (1 - alloc)
     with one.  `interference` holds the interferers' draws in model order.
     """
@@ -101,9 +102,9 @@ def _margin(
     if model.split is not None:
         alloc, residual = model.split
         c = alloc - model.gamma * residual * (1.0 - alloc)
-    z = desired * (c * model.desired.mean_power(1.0))
+    z = desired * (c * model.desired.unit_mean)
     for link, draw in zip(model.interferers, interference):
-        z -= draw * (model.gamma * link.mean_power(1.0))
+        z -= draw * (model.gamma * link.unit_mean)
     return z
 
 

@@ -72,7 +72,7 @@ class NodeGeometry:
     UAV-1 is the uplink transmitter, the ground station serves UAV-2 (near,
     SIC detector) and UAV-3 (far, interference-ignorant detector).  Each
     pathloss distance**pathloss_exp must be a normal float, so that it and
-    its reciprocal, the link gain, are finite and non-zero.
+    its reciprocal, the link's unit-power mean, are finite and non-zero.
     """
 
     d_1g: float
@@ -108,8 +108,8 @@ class NodeGeometry:
 
 @dataclass(frozen=True)
 class FadingSet:
-    """Unit-mean fading parameters per link; power scaling comes from the
-    signal model's gain and loss, never from these."""
+    """Unit-mean fading parameters per link; power scaling comes from each
+    signal-model link's `unit_mean`, never from these."""
 
     link_1g: RicianShadowedParams
     link_si: RicianShadowedParams
@@ -232,19 +232,16 @@ def db_to_linear(pt_db: float) -> float:
 
 @dataclass(frozen=True)
 class Link:
-    """One link of a signal model: unit-mean fading scaled by gain / loss.
+    """One link of a signal model: unit-mean fading and its mean power at
+    unit transmit power.
 
     At noise-normalised transmit power pt_linear its mean power is
-    pt_linear * gain / loss; the loss of a distance-attenuated link is
-    distance_km**pathloss_exp.
+    pt_linear * unit_mean; a distance-attenuated link has unit_mean
+    1 / distance_km**pathloss_exp.
     """
 
     fading: RicianShadowedParams
-    gain: float
-    loss: float
-
-    def mean_power(self, pt_linear: float) -> float:
-        return pt_linear * self.gain / self.loss
+    unit_mean: float
 
 
 @dataclass(frozen=True)
@@ -266,6 +263,9 @@ class SignalModel:
 def signal_model(cfg: SystemConfig, scheme: Scheme, node: Node) -> SignalModel:
     """The desired link, the interferers, the threshold and the power split
     of one (scheme, node) pair; both the closed form and Monte Carlo read it.
+    A link's `unit_mean` is 1 / distance**pathloss_exp, the phase-noise to
+    noise power ratio for the residual self-interference, or epsilon for
+    the estimation error.
 
     * Ground station: the uplink signal; under FD-NOMA it competes against
       the residual self-interference, a Rician shadowed term scaled by the
@@ -286,18 +286,18 @@ def signal_model(cfg: SystemConfig, scheme: Scheme, node: Node) -> SignalModel:
     if node is Node.GS:
         interferers: tuple[Link, ...] = ()
         if scheme is Scheme.FD_NOMA:
-            interferers = (Link(fading.link_si, cfg.si_power_ratio, 1.0),)
+            interferers = (Link(fading.link_si, cfg.si_power_ratio),)
             if cfg.epsilon > 0:
-                error = Link(RicianShadowedParams(1.0, 0.0, 1.0), cfg.epsilon, 1.0)
+                error = Link(RicianShadowedParams(1.0, 0.0, 1.0), cfg.epsilon)
                 interferers += (error,)
-        return SignalModel(Link(fading.link_1g, 1.0, geo.d_1g**eta), interferers, gamma, None)
+        return SignalModel(Link(fading.link_1g, 1.0 / geo.d_1g**eta), interferers, gamma, None)
     if node is Node.UAV2:
-        desired = Link(fading.link_g2, 1.0, geo.d_g2**eta)
-        uplink = Link(fading.link_12, 1.0, geo.d_12**eta)
+        desired = Link(fading.link_g2, 1.0 / geo.d_g2**eta)
+        uplink = Link(fading.link_12, 1.0 / geo.d_12**eta)
         split = (cfg.a_gs2, cfg.beta)
     else:
-        desired = Link(fading.link_g3, 1.0, geo.d_g3**eta)
-        uplink = Link(fading.link_13, 1.0, geo.d_13**eta)
+        desired = Link(fading.link_g3, 1.0 / geo.d_g3**eta)
+        uplink = Link(fading.link_13, 1.0 / geo.d_13**eta)
         split = (1.0 - cfg.a_gs2, 1.0)
     if scheme is Scheme.HD_OMA:
         return SignalModel(desired, (), gamma, None)
@@ -309,11 +309,11 @@ class OutageCurve:
     """Closed-form outage of one (scheme, node) pair over transmit power.
 
     Everything that does not depend on the transmit power (the threshold
-    and the `TruncatedSeries` tables, built from each link's mean at unit
-    power, gain / loss) is computed once, here; `at` then evaluates one
-    power point.  `evaluate_outage` is the one-point case, so a point
-    evaluation equals the matching sweep row bit for bit.  The transmit
-    power `cfg.p_t` itself is not used.
+    and the `TruncatedSeries` tables, built from each link's `unit_mean`)
+    is computed once, here; `at` then evaluates one power point.
+    `evaluate_outage` is the one-point case, so a point evaluation equals
+    the matching sweep row bit for bit.  The transmit power `cfg.p_t`
+    itself is not used.
     """
 
     def __init__(self, cfg: SystemConfig, scheme: Scheme, node: Node):
@@ -322,12 +322,12 @@ class OutageCurve:
         if model.split is not None:
             threshold = noma_effective_threshold(model.gamma, *model.split)
         desired, *interferers = [
-            replace(link.fading, mean_power=link.mean_power(1.0))
+            replace(link.fading, mean_power=link.unit_mean)
             for link in (model.desired,) + model.interferers
             # an interferer whose unit-power mean underflows to 0 (phase noise
-            # far below the noise floor) adds nothing; gain / loss of the
-            # desired link is normal
-            if link.mean_power(1.0) > 0.0
+            # far below the noise floor) adds nothing; the desired link's
+            # unit_mean is normal
+            if link.unit_mean > 0.0
         ]
         self._desired_mean = desired.mean_power
         self._peak_mean = max(q.mean_power for q in (desired, *interferers))

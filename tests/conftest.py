@@ -80,8 +80,9 @@ def threshold_equivalence_check(
         raise ValueError("equivalence check requires a finite effective threshold")
     (uplink,) = model.interferers
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+    pt_linear = db_to_linear(cfg.p_t)
     x, y = (
-        sample_rician_shadowed(link.fading, rng, num_samples) * link.mean_power(db_to_linear(cfg.p_t))
+        sample_rician_shadowed(link.fading, rng, num_samples) * (pt_linear * link.unit_mean)
         for link in (model.desired, uplink)
     )
     direct = alloc * x / (residual * (1.0 - alloc) * x + y + 1.0) <= model.gamma
@@ -98,7 +99,7 @@ def direct_outage_count(model: SignalModel, unit, pt_linear: float) -> int:
     model order.
     """
     links = (model.desired,) + model.interferers
-    x, *ys = [draw * link.mean_power(pt_linear) for draw, link in zip(unit, links)]
+    x, *ys = [draw * (pt_linear * link.unit_mean) for draw, link in zip(unit, links)]
     y = sum(ys, 0.0)
     if model.split is None:
         sinr = x / (y + 1.0)

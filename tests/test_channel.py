@@ -13,6 +13,7 @@ from fdnoma.channel import (
     OutageResult,
     RicianShadowedParams,
     TruncatedSeries,
+    _cdf_factor,
     _log_moment_shapes,
     rician_shadowed_moment,
     sample_rician_shadowed,
@@ -171,6 +172,73 @@ def test_param_validation():
         exponential(0.0)
     with pytest.raises(ValueError):
         exponential(-1.0)
+
+
+# ---------------------------------------------------------------------------
+# the terminating 2F1 factor F_n = 2F1(-n, b; 1; z)
+# ---------------------------------------------------------------------------
+
+def test_cdf_factor_zero_order_is_one():
+    assert _cdf_factor(0, 2.0, -5.0) == 1.0
+
+
+def test_cdf_factor_two_term_series():
+    # n = 1 leaves 1 - b z = 1 + 20/3
+    assert _cdf_factor(1, 2.0, -10.0 / 3.0) == pytest.approx(23.0 / 3.0, rel=1e-14)
+
+
+def test_cdf_factor_binomial_identity():
+    # 2F1(-n, b; b; z) = (1 - z)^n, here at b = c = 1
+    assert _cdf_factor(9, 1.0, -1.0) == pytest.approx(2.0**9, rel=1e-12)
+
+
+def test_cdf_factor_matches_direct_summation():
+    # independent oracle: plain term-by-term finite sum of the defining series
+    def rising(a, k):
+        return math.prod(a + i for i in range(k))
+
+    def direct(n, b, z):
+        return math.fsum(
+            rising(-n, k) * rising(b, k) / (math.factorial(k) ** 2) * z**k
+            for k in range(n + 1)
+        )
+
+    for n in (1, 3, 9, 12):
+        for b in (0.5, 1.0, 2.0, 4.0):
+            for z in (0.0, -0.3, -1.0, -10.0):
+                got = _cdf_factor(n, b, z)
+                want = direct(n, b, z)
+                assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-300)
+
+
+def test_cdf_factor_against_extended_precision():
+    # F_n at the series' own arguments b = 1 - m and z = -K/m (as doubles)
+    # against the same terminating sum at 60 digits, over Abdi's measured
+    # (K, m) sets and K/m from 0 to 2e4, on every third order 0..63.  The
+    # double sum misses by at most about 2e-14 of its largest term.  For
+    # m <= 1 no term cancels, so it is within about 4e-15 relative, and
+    # for integer m <= 10 within about 2.6e-12.  For large non-integer m
+    # F_n can be small against its terms: 5.4e-3 relative at (10, 50).
+    misses = []
+    for k in (0.0, 1e-6, 0.0071, 0.556, 4.08, 10.0, 1e3):
+        for m in (0.05, 0.3, 0.739, 1.0, 3.0, 5.21, 10.0, 19.4, 50.0):
+            b, z = 1.0 - m, -k / m
+            for n in range(0, MAX_MOMENT_ORDER, 3):
+                with mpmath.workdps(60):
+                    terms = [mpmath.mpf(1)]
+                    for j in range(1, n + 1):
+                        terms.append(terms[-1] * (j - 1 - n) * (mpmath.mpf(b) + j - 1) / (j * j) * z)
+                    want = mpmath.fsum(terms)
+                    error = abs(_cdf_factor(n, b, z) - want)
+                    largest = max(abs(t) for t in terms)
+                    relative = float(error / abs(want)) if want else float(error)
+                if error > 4e-14 * largest:
+                    misses.append((k, m, n, "largest term", float(error / largest)))
+                if m <= 1 and relative > 1e-14:
+                    misses.append((k, m, n, "relative, m <= 1", relative))
+                if m <= 10 and m.is_integer() and relative > 5e-12:
+                    misses.append((k, m, n, "relative, integer m", relative))
+    assert not misses, misses
 
 
 # ---------------------------------------------------------------------------
@@ -456,17 +524,17 @@ def test_one_convolution_pass_per_power_point(monkeypatch, num_interferers):
 
 @pytest.mark.parametrize("num_interferers", [0, 1, 2, 3])
 def test_one_2f1_call_per_cdf_coefficient(monkeypatch, num_interferers):
-    # work count, not timing: building a series calls the terminating 2F1
+    # work count, not timing: building a series sums the terminating 2F1
     # once per CDF coefficient and never for an interferer's moment table,
     # whatever its K (0 included) and m (non-integer included)
     calls = []
-    gauss_2f1 = channel.gauss_2f1
+    cdf_factor = channel._cdf_factor
 
     def counted(*args):
         calls.append(args)
-        return gauss_2f1(*args)
+        return cdf_factor(*args)
 
-    monkeypatch.setattr(channel, "gauss_2f1", counted)
+    monkeypatch.setattr(channel, "_cdf_factor", counted)
     k_tr = 40
     interferers = [
         RicianShadowedParams(0.3, 0.0071, 0.739),

@@ -1,13 +1,17 @@
 """The public names of the package and of each module resolve."""
 
 import importlib
+import pkgutil
 import types
 
 import pytest
 
 import fdnoma
 
-MODULES = ["specfun", "channel", "outage", "montecarlo", "scenario"]
+# every module of the package declares __all__, except the CLI entry point
+MODULES = sorted(
+    info.name for info in pkgutil.iter_modules(fdnoma.__path__) if info.name != "cli"
+)
 
 
 @pytest.mark.parametrize("name", MODULES)

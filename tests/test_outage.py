@@ -176,12 +176,12 @@ def test_signal_model_table():
         (Scheme.HD_OMA, Node.UAV2): (0, None),
         (Scheme.HD_OMA, Node.UAV3): (0, None),
     }
-    # mean power pt_linear * gain / loss, loss = distance**pathloss_exp
-    assert signal_model(cfg, Scheme.HD_OMA, Node.GS).desired.mean_power(90.0) == 10.0
+    # mean power pt_linear * unit_mean, unit_mean = 1 / distance**pathloss_exp
+    assert 90.0 * signal_model(cfg, Scheme.HD_OMA, Node.GS).desired.unit_mean == 10.0
     assert len(signal_model(suburban(epsilon=0.0), Scheme.FD_NOMA, Node.GS).interferers) == 1
     # the estimation error: exponential power, a unit-mean K = 0 link scaled by epsilon
     error = signal_model(cfg, Scheme.FD_NOMA, Node.GS).interferers[1]
-    assert error == Link(RicianShadowedParams(1.0, 0.0, 1.0), cfg.epsilon, 1.0)
+    assert error == Link(RicianShadowedParams(1.0, 0.0, 1.0), cfg.epsilon)
 
 
 def test_zero_rate_never_outages():
@@ -360,7 +360,7 @@ def test_hd_oma_gs_meets_mixture_truth_at_large_series_arguments(k, m, r_oma, pt
     cfg = suburban(pt_db=pt_db, r_oma=r_oma, k_tr=k_tr)
     cfg = replace(cfg, fading=replace(cfg.fading, link_1g=unit_link(k, m)))
     model = signal_model(cfg, Scheme.HD_OMA, Node.GS)
-    truth = mixture_cdf(k, m, model.gamma / model.desired.mean_power(db_to_linear(pt_db)))
+    truth = mixture_cdf(k, m, model.gamma / (db_to_linear(pt_db) * model.desired.unit_mean))
     result = evaluate_outage(cfg, Scheme.HD_OMA, Node.GS)
     assert result.converged
     assert abs(result.probability - truth) <= 1e-9, (result.probability, truth)
