@@ -2,7 +2,8 @@
 
 Closed-form truncated-series evaluators for every (scheme, node) pair and
 an independent Monte Carlo simulation oracle, plus a sweep CLI.  Lower
-layers (2F1, moments, samplers, thresholds) are imported from their modules.
+layers (the series evaluator, moments, the sampler, thresholds) are
+imported from their modules.
 """
 
 from .channel import OutageResult, RicianShadowedParams

@@ -33,12 +33,9 @@ __all__ = [
     "RicianShadowedParams",
     "OutageResult",
     "TruncatedSeries",
-    "MAX_MOMENT_ORDER",
     "rician_shadowed_moment",
     "sample_rician_shadowed",
 ]
-
-MAX_MOMENT_ORDER = 64
 
 # Divergence heuristic for the truncated alternating series: flag when the
 # per-order term magnitude keeps growing this many orders in a row, once
@@ -124,10 +121,6 @@ def rician_shadowed_moment(p: RicianShadowedParams, order: int) -> float:
     """
     if order < 0:
         raise ValueError(f"moment order must be non-negative, got {order}")
-    if order > MAX_MOMENT_ORDER:
-        raise ValueError(
-            f"moment order {order} exceeds supported maximum {MAX_MOMENT_ORDER}"
-        )
     log_m = (
         order * math.log(p.mean_power)
         + math.lgamma(order + 1)
@@ -207,10 +200,6 @@ class TruncatedSeries:
             raise ValueError(f"threshold must be non-negative, got {gamma}")
         if k_tr < 0:
             raise ValueError(f"truncation order must be non-negative, got {k_tr}")
-        if interferers and k_tr + 1 > MAX_MOMENT_ORDER:
-            raise ValueError(
-                f"moment order {k_tr + 1} exceeds supported maximum {MAX_MOMENT_ORDER}"
-            )
         self.gamma = gamma
         if gamma == 0.0 or math.isinf(gamma):
             return

@@ -34,7 +34,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 
-from .channel import MAX_MOMENT_ORDER, OutageResult, RicianShadowedParams, TruncatedSeries
+from .channel import OutageResult, RicianShadowedParams, TruncatedSeries
 
 __all__ = [
     "Scheme",
@@ -52,6 +52,10 @@ __all__ = [
     "signal_model",
     "evaluate_outage",
 ]
+
+# Largest series truncation order a config may ask for.
+_MAX_K_TR = 63
+
 
 class Scheme(enum.Enum):
     FD_NOMA = "fd_noma"
@@ -158,11 +162,8 @@ class SystemConfig:
             )
         if self.k_tr < 0:
             raise ValueError(f"truncation order k_tr must be >= 0, got {self.k_tr}")
-        if self.k_tr + 1 > MAX_MOMENT_ORDER:
-            raise ValueError(
-                f"truncation order k_tr must be <= {MAX_MOMENT_ORDER - 1} (the series "
-                f"uses moments up to order k_tr + 1), got {self.k_tr}"
-            )
+        if self.k_tr > _MAX_K_TR:
+            raise ValueError(f"truncation order k_tr must be <= {_MAX_K_TR}, got {self.k_tr}")
         if not (self.r_oma >= 0 and math.isfinite(self.r_oma)):
             raise ValueError(f"base rate r_oma must be finite and >= 0, got {self.r_oma}")
         try:
@@ -223,7 +224,10 @@ def noma_effective_threshold(gamma: float, alloc: float, residual: float) -> flo
 
 
 def db_to_linear(pt_db: float) -> float:
-    """10^(pt_db/10), or inf when that overflows a float."""
+    """10^(pt_db/10), or inf when that overflows a float; a NaN level
+    raises ValueError."""
+    if math.isnan(pt_db):
+        raise ValueError(f"power level must not be NaN, got {pt_db} dB")
     try:
         return 10.0 ** (pt_db / 10.0)
     except OverflowError:
@@ -265,14 +269,17 @@ def signal_model(cfg: SystemConfig, scheme: Scheme, node: Node) -> SignalModel:
     of one (scheme, node) pair; both the closed form and Monte Carlo read it.
     A link's `unit_mean` is 1 / distance**pathloss_exp, the phase-noise to
     noise power ratio for the residual self-interference, or epsilon for
-    the estimation error.
+    the estimation error.  An interferer whose `unit_mean` is 0 (epsilon
+    = 0, or phase noise so far below the noise floor that the ratio
+    underflows) adds nothing and is left out, so every `unit_mean` is
+    positive.
 
     * Ground station: the uplink signal; under FD-NOMA it competes against
       the residual self-interference, a Rician shadowed term scaled by the
-      phase-noise/noise power ratio, plus a channel-estimation error term
-      (dropped when epsilon = 0).  The error has exponential power, which
-      is Rician shadowed fading with K = 0: unit mean, and m = 1 only
-      because a value is required, since m has no effect at K = 0.
+      phase-noise/noise power ratio, plus a channel-estimation error term.
+      The error has exponential power, which is Rician shadowed fading
+      with K = 0: unit mean, and m = 1 only because a value is required,
+      since m has no effect at K = 0.
     * Downlink UAV under NOMA: the power split applies, with the leftover
       beta after SIC at the near user UAV-2 and the full interfering share
       at the interference-ignorant far user UAV-3; under FD-NOMA the uplink
@@ -286,10 +293,9 @@ def signal_model(cfg: SystemConfig, scheme: Scheme, node: Node) -> SignalModel:
     if node is Node.GS:
         interferers: tuple[Link, ...] = ()
         if scheme is Scheme.FD_NOMA:
-            interferers = (Link(fading.link_si, cfg.si_power_ratio),)
-            if cfg.epsilon > 0:
-                error = Link(RicianShadowedParams(1.0, 0.0, 1.0), cfg.epsilon)
-                interferers += (error,)
+            si = Link(fading.link_si, cfg.si_power_ratio)
+            error = Link(RicianShadowedParams(1.0, 0.0, 1.0), cfg.epsilon)
+            interferers = tuple(link for link in (si, error) if link.unit_mean > 0.0)
         return SignalModel(Link(fading.link_1g, 1.0 / geo.d_1g**eta), interferers, gamma, None)
     if node is Node.UAV2:
         desired = Link(fading.link_g2, 1.0 / geo.d_g2**eta)
@@ -309,8 +315,9 @@ class OutageCurve:
     """Closed-form outage of one (scheme, node) pair over transmit power.
 
     Everything that does not depend on the transmit power (the threshold
-    and the `TruncatedSeries` tables, built from each link's `unit_mean`)
-    is computed once, here; `at` then evaluates one power point.
+    and the `TruncatedSeries` tables, built from each link's `unit_mean`,
+    which `signal_model` keeps positive) is computed once, here; `at`
+    then evaluates one power point.
     `evaluate_outage` is the one-point case, so a point evaluation equals
     the matching sweep row bit for bit.  The transmit power `cfg.p_t`
     itself is not used.
@@ -324,13 +331,8 @@ class OutageCurve:
         desired, *interferers = [
             replace(link.fading, mean_power=link.unit_mean)
             for link in (model.desired,) + model.interferers
-            # an interferer whose unit-power mean underflows to 0 (phase noise
-            # far below the noise floor) adds nothing; the desired link's
-            # unit_mean is normal
-            if link.unit_mean > 0.0
         ]
         self._desired_mean = desired.mean_power
-        self._peak_mean = max(q.mean_power for q in (desired, *interferers))
         self._series = TruncatedSeries(desired, interferers, threshold, cfg.k_tr)
 
     def at(self, pt_db: float) -> OutageResult:
@@ -338,15 +340,16 @@ class OutageCurve:
 
         A power whose desired mean underflows to 0 (10^(pt/10) is 0, or
         subnormal enough) leaves only noise: certain outage, as in Monte
-        Carlo, also at a zero threshold.  An interferer mean too small for
-        a float is never formed: the series reads it as p^l in log space.
-        A power at which 10^(pt/10) or a link's mean power overflows raises
-        an OverflowError that names it.
+        Carlo, also at a zero threshold.  Past that test the series takes
+        only log(10^(pt/10)), so a link whose mean at the power point is
+        too small or too large for a float still evaluates.  A power at which
+        10^(pt/10) itself overflows raises an OverflowError that names it,
+        and a NaN power a ValueError.
         """
         pt_linear = db_to_linear(pt_db)
         if pt_linear * self._desired_mean == 0.0:
             return OutageResult(1.0, self._series.gamma, True)
-        if not math.isfinite(pt_linear * self._peak_mean):
+        if math.isinf(pt_linear):
             raise OverflowError(
                 f"transmit power {pt_db:g} dB is out of float range (a link's mean power overflows)"
             )

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import configparser
 import math
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -206,14 +205,17 @@ def load_config(path: str) -> tuple[SystemConfig, SweepSpec]:
     optional keys take the reference-scenario defaults; the inter-UAV
     distances d_12 and d_13 are mandatory.  A retired key is accepted only
     at its old default value.  Raises ConfigError with the offending key or
-    invariant.
+    invariant, or naming the path of a file that cannot be read as UTF-8
+    text.
     """
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, encoding="utf-8") as handle:
             parser.read_file(handle, source=path)
+    except FileNotFoundError as exc:
+        raise ConfigError(f"config file not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {path} cannot be read: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
     texts = _read_text(parser)

@@ -9,7 +9,6 @@ from scipy import stats
 
 from fdnoma import channel
 from fdnoma.channel import (
-    MAX_MOMENT_ORDER,
     OutageResult,
     RicianShadowedParams,
     TruncatedSeries,
@@ -22,6 +21,10 @@ from fdnoma.channel import (
 K_GRID = (0.1, 1.0, 10.0, 30.0)
 M_GRID = (0.5, 1.0, 3.0, 10.0)
 P_GRID = (0.1, 1.0, 10.0)
+
+# Moment tables are checked up to this order: k_tr + 1 at the largest k_tr
+# a config may set.
+MAX_MOMENT_ORDER = 64
 
 
 def exponential(mean_power, m=1.0):
@@ -81,10 +84,17 @@ def test_moment_order_limits():
     p = RicianShadowedParams(1.0, 10.0, 10.0)
     with pytest.raises(ValueError):
         rician_shadowed_moment(p, -1)
-    with pytest.raises(ValueError):
-        rician_shadowed_moment(p, 65)
     with pytest.raises(OverflowError):
         rician_shadowed_moment(RicianShadowedParams(1e30, 10.0, 10.0), 20)
+    # no order cap: the recurrence runs to any order
+    assert rician_shadowed_moment(p, 100) == math.exp(
+        math.lgamma(101) + _log_moment_shapes(p, 100)[100]
+    )
+    interferer = RicianShadowedParams(0.3, 10.0, 3.0)
+    deep = TruncatedSeries(p, [interferer], 0.1, 70).at(1.0)
+    want = TruncatedSeries(p, [interferer], 0.1, 63).at(1.0)
+    assert deep.converged and want.converged
+    assert deep.probability == pytest.approx(want.probability, abs=1e-12)
 
 
 def test_exponential_moments():

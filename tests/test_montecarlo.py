@@ -176,6 +176,13 @@ def test_curve_at_extreme_powers_reads_limits():
         assert [est.probability for est in curves[pair]] == [1.0, 0.0], pair
 
 
+def test_nan_power_is_rejected_by_monte_carlo():
+    # a NaN threshold would sort last and read as certain outage
+    pairs = [(scheme, node) for scheme in Scheme for node in Node]
+    with pytest.raises(ValueError, match="NaN"):
+        mc_outage_curves(suburban(), pairs, [10.0, math.nan], McSettings(num_samples=1000))
+
+
 def test_curve_equals_points_on_unsorted_grid_with_duplicates():
     cfg = suburban()
     grid = [30.0, 0.0, 60.0, 30.0, -5.0]
@@ -198,10 +205,19 @@ def heavy_uav3_uplink():
     return replace(cfg, fading=replace(cfg.fading, link_13=unit_link(10.0, 3.0)))
 
 
-@pytest.mark.parametrize("cfg,per_batch", [(suburban(), 5), (heavy_uav3_uplink(), 6)])
+@pytest.mark.parametrize(
+    "cfg,per_batch",
+    [
+        (suburban(), 5),
+        (heavy_uav3_uplink(), 6),
+        (replace(suburban(), phase_noise_power=-4000.0), 5),
+    ],
+)
 def test_each_distinct_link_law_sequence_is_drawn_once_per_batch(monkeypatch, cfg, per_batch):
     # reference laws per batch: K=10,m=10 | +SI (fd_noma/uav3's uplink too)
-    # | +SI+error | K=10,m=3 | +uplink; m_13 = 3 adds K=10,m=10 | +K=10,m=3
+    # | +SI+error | K=10,m=3 | +uplink; m_13 = 3 adds K=10,m=10 | +K=10,m=3;
+    # an SI ratio that underflows to 0 drops SI from fd_noma/gs: +SI+error
+    # becomes +error, and fd_noma/uav3 draws +K=10,m=10 itself
     sizes = []
 
     def counting(p, rng, size):

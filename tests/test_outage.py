@@ -10,7 +10,6 @@ import pytest
 
 from conftest import suburban, unit_link
 from fdnoma.channel import (
-    MAX_MOMENT_ORDER,
     RicianShadowedParams,
     TruncatedSeries,
     sample_rician_shadowed,
@@ -33,6 +32,9 @@ from fdnoma.outage import (
 )
 
 ALL_PAIRS = [(s, n) for s in Scheme for n in Node]
+
+# Largest series truncation order a config may set.
+MAX_K_TR = 63
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +181,11 @@ def test_signal_model_table():
     # mean power pt_linear * unit_mean, unit_mean = 1 / distance**pathloss_exp
     assert 90.0 * signal_model(cfg, Scheme.HD_OMA, Node.GS).desired.unit_mean == 10.0
     assert len(signal_model(suburban(epsilon=0.0), Scheme.FD_NOMA, Node.GS).interferers) == 1
+    # a self-interference ratio that underflows to 0 leaves the model too
+    silent = replace(cfg, phase_noise_power=-4000.0)
+    assert signal_model(silent, Scheme.FD_NOMA, Node.GS).interferers == (
+        signal_model(cfg, Scheme.FD_NOMA, Node.GS).interferers[1],
+    )
     # the estimation error: exponential power, a unit-mean K = 0 link scaled by epsilon
     error = signal_model(cfg, Scheme.FD_NOMA, Node.GS).interferers[1]
     assert error == Link(RicianShadowedParams(1.0, 0.0, 1.0), cfg.epsilon)
@@ -442,8 +449,8 @@ def test_system_config_validation():
     with pytest.raises(ValueError):
         suburban(k_tr=-1)
     with pytest.raises(ValueError):
-        suburban(k_tr=MAX_MOMENT_ORDER)  # needs moments of order k_tr + 1
-    suburban(k_tr=MAX_MOMENT_ORDER - 1)
+        suburban(k_tr=MAX_K_TR + 1)
+    suburban(k_tr=MAX_K_TR)
     with pytest.raises(ValueError):
         suburban(r_oma=-0.2)
 
@@ -458,6 +465,14 @@ def test_db_to_linear_at_float_range_edges():
     assert db_to_linear(3100.0) == math.inf  # 10^310 overflows
     assert db_to_linear(-4000.0) == 0.0
     assert db_to_linear(-30.0) == pytest.approx(1e-3, rel=1e-14)
+    with pytest.raises(ValueError, match="NaN"):
+        db_to_linear(math.nan)
+
+
+def test_nan_power_is_rejected_by_the_closed_form():
+    for scheme, node in ALL_PAIRS:
+        with pytest.raises(ValueError, match="NaN"):
+            OutageCurve(suburban(), scheme, node).at(math.nan)
 
 
 def test_epsilon_zero_drops_estimation_error_term():

@@ -171,6 +171,15 @@ def test_missing_file():
         load_config("/nonexistent/scenario.ini")
 
 
+def test_unreadable_file_is_a_config_error(tmp_path):
+    with pytest.raises(ConfigError, match=f"config file {re.escape(str(tmp_path))} cannot be read"):
+        load_config(str(tmp_path))  # a directory
+    path = tmp_path / "latin1.ini"
+    path.write_bytes(b"[geometry]\nd_12 = 2.0 # \xb5m\n")
+    with pytest.raises(ConfigError, match="cannot be read.*utf-8"):
+        load_config(str(path))
+
+
 def test_bad_number_and_bool(tmp_path):
     with pytest.raises(ConfigError, match="pt_db"):
         load_config(write(tmp_path, MINIMAL + "\n[system]\npt_db = fast\n"))
@@ -691,7 +700,6 @@ def test_cli_mc_sweep_at_overflowing_power(tmp_path, capsys):
     "system,scheme,pt",
     [
         ("", "hd_oma", "3100"),  # 10^(pt/10) overflows
-        ("phase_noise_dbm = -100\n", "fd_noma", "3070"),  # the self-interference power does
     ],
 )
 def test_cli_point_at_overflowing_power(tmp_path, capsys, system, scheme, pt):
@@ -702,6 +710,23 @@ def test_cli_point_at_overflowing_power(tmp_path, capsys, system, scheme, pt):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert f"transmit power {pt} dB" in captured.err
+
+
+def test_cli_point_where_a_link_mean_leaves_float_range(tmp_path, capsys):
+    # d_1g = 0.5 km gives the uplink a unit-power mean of 4, so at 3081 dB
+    # its mean power overflows while 10^(pt/10) does not; the series takes
+    # only logs and reads the noise-free floor that it reads at 3000 dB
+    path = write(tmp_path, MINIMAL + "d_1g = 0.5\n")
+    rows = []
+    for pt in ("3000", "3081"):
+        args = ["point", "--config", path, "--scheme", "fd_noma", "--node", "gs", "--pt", pt]
+        assert main(args) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows.append(captured.out.split(","))
+    assert rows[1][2] == "3081"
+    assert rows[1][3:] == rows[0][3:]
+    assert 0.0 < float(rows[1][3]) < 1.0
 
 
 def test_mc_sweep_at_underflowing_power_is_certain_outage():
