@@ -13,7 +13,9 @@ one power-free SINR margin Z (see `_margin`), and the sample is in outage
 at power pt exactly when Z <= gamma / pt.  One draw of unit-mean fading
 therefore serves a whole power grid: each batch forms Z once per (scheme,
 node) pair, sorts Z once and finds every threshold gamma / pt in it
-(common random numbers).  Each batch gets an independent substream
+(common random numbers).  Each power converts through
+`outage.db_to_linear`, so a level outside float range raises here as it
+does in the closed form.  Each batch gets an independent substream
 derived from (seed, batch index) that draws the desired link first, then
 the interferers; each distinct sequence of link laws is drawn once per
 batch (`mc_outage_curves`), and an estimate depends only on (config,
@@ -70,17 +72,11 @@ def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
 
 
 def _thresholds(gamma: float, pt_grid_db: Sequence[float]) -> np.ndarray:
-    """gamma / pt_linear at every power point, the margin's outage bound.
-
-    A power too large for a float is the noise-free limit, bound
-    gamma / inf = 0 (gamma is always finite); one that underflows to 0
-    leaves only noise, so every sample is in outage, bound +inf (also at
-    gamma = 0, where gamma * inf would be NaN).
-    """
+    """gamma / pt_linear at every power point, the margin's outage bound;
+    a level outside `db_to_linear`'s range raises its ValueError."""
     import numpy as np
 
-    powers = [db_to_linear(pt_db) for pt_db in pt_grid_db]
-    return np.array([math.inf if p == 0.0 else gamma / p for p in powers], dtype=float)
+    return np.array([gamma / db_to_linear(pt_db) for pt_db in pt_grid_db], dtype=float)
 
 
 def _margin(
@@ -144,10 +140,8 @@ def mc_outage_curves(
     nor the per-sample arithmetic grows with the grid.  Ties (SINR exactly
     at threshold) count as outage, matching the event definition used by
     the closed form; the event has probability zero under the continuous
-    fading model.  A power
-    too large for a float reads as the noise-free limit, one that
-    underflows to 0 as certain outage.  The transmit power `cfg.p_t`
-    itself is not used.
+    fading model.  A level outside `db_to_linear`'s range raises its
+    ValueError.  The transmit power `cfg.p_t` itself is not used.
     """
     import numpy as np
 

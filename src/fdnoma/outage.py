@@ -149,7 +149,7 @@ class SystemConfig:
     fading: FadingSet
 
     def __post_init__(self) -> None:
-        for name in ("p_t", "phase_noise_power", "noise_power"):
+        for name in ("phase_noise_power", "noise_power"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0 < self.a_gs2 < 1:
@@ -172,11 +172,12 @@ class SystemConfig:
             raise ValueError(
                 f"base rate r_oma = {self.r_oma} overflows the SINR threshold 2^r_oma - 1"
             ) from None
-        if not math.isfinite(self.si_power_ratio):
-            raise ValueError(
-                f"phase_noise_power {self.phase_noise_power} dBm over noise_power "
-                f"{self.noise_power} dBm overflows as a linear power ratio"
-            )
+        gap = self.phase_noise_power - self.noise_power
+        for name, level in (("p_t", self.p_t), ("phase_noise_power - noise_power", gap)):
+            try:
+                db_to_linear(level)
+            except ValueError as exc:
+                raise ValueError(f"{name} must be finite as a linear power: {exc}") from None
 
     @property
     def si_power_ratio(self) -> float:
@@ -223,15 +224,23 @@ def noma_effective_threshold(gamma: float, alloc: float, residual: float) -> flo
     return gamma / denom
 
 
-def db_to_linear(pt_db: float) -> float:
-    """10^(pt_db/10), or inf when that overflows a float; a NaN level
-    raises ValueError."""
-    if math.isnan(pt_db):
-        raise ValueError(f"power level must not be NaN, got {pt_db} dB")
+def db_to_linear(level_db: float) -> float:
+    """10^(level_db/10), the one range rule for every dB level: a positive
+    finite float, or a ValueError naming the level.  That rejects NaN and
+    levels above about 3082.5 dB (overflow) or below about -3236 dB
+    (underflow to 0); the subnormal band between converts."""
+    if math.isnan(level_db):
+        raise ValueError(f"power level must not be NaN, got {level_db} dB")
     try:
-        return 10.0 ** (pt_db / 10.0)
+        linear = 10.0 ** (level_db / 10.0)
     except OverflowError:
-        return math.inf
+        linear = math.inf
+    if not 0.0 < linear < math.inf:
+        raise ValueError(
+            f"power level {level_db:g} dB leaves float range as a linear power "
+            "(about -3236 to 3082.5 dB)"
+        )
+    return linear
 
 
 @dataclass(frozen=True)
@@ -270,9 +279,7 @@ def signal_model(cfg: SystemConfig, scheme: Scheme, node: Node) -> SignalModel:
     A link's `unit_mean` is 1 / distance**pathloss_exp, the phase-noise to
     noise power ratio for the residual self-interference, or epsilon for
     the estimation error.  An interferer whose `unit_mean` is 0 (epsilon
-    = 0, or phase noise so far below the noise floor that the ratio
-    underflows) adds nothing and is left out, so every `unit_mean` is
-    positive.
+    = 0) adds nothing and is left out, so every `unit_mean` is positive.
 
     * Ground station: the uplink signal; under FD-NOMA it competes against
       the residual self-interference, a Rician shadowed term scaled by the
@@ -332,28 +339,16 @@ class OutageCurve:
             replace(link.fading, mean_power=link.unit_mean)
             for link in (model.desired,) + model.interferers
         ]
-        self._desired_mean = desired.mean_power
         self._series = TruncatedSeries(desired, interferers, threshold, cfg.k_tr)
 
     def at(self, pt_db: float) -> OutageResult:
         """Outage probability at transmit power pt_db (dB over the noise floor).
 
-        A power whose desired mean underflows to 0 (10^(pt/10) is 0, or
-        subnormal enough) leaves only noise: certain outage, as in Monte
-        Carlo, also at a zero threshold.  Past that test the series takes
-        only log(10^(pt/10)), so a link whose mean at the power point is
-        too small or too large for a float still evaluates.  A power at which
-        10^(pt/10) itself overflows raises an OverflowError that names it,
-        and a NaN power a ValueError.
+        A level outside `db_to_linear`'s range raises its ValueError.  The
+        series takes only log(10^(pt/10)), so a link whose mean at the
+        power point is too small or too large for a float still evaluates.
         """
-        pt_linear = db_to_linear(pt_db)
-        if pt_linear * self._desired_mean == 0.0:
-            return OutageResult(1.0, self._series.gamma, True)
-        if math.isinf(pt_linear):
-            raise OverflowError(
-                f"transmit power {pt_db:g} dB is out of float range (a link's mean power overflows)"
-            )
-        return self._series.at(pt_linear)
+        return self._series.at(db_to_linear(pt_db))
 
 
 def evaluate_outage(cfg: SystemConfig, scheme: Scheme, node: Node) -> OutageResult:

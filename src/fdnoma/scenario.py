@@ -25,6 +25,7 @@ from .outage import (
     OutageCurve,
     Scheme,
     SystemConfig,
+    db_to_linear,
 )
 
 __all__ = [
@@ -116,7 +117,7 @@ class SweepSpec:
     mc: McSettings
 
     def __post_init__(self) -> None:
-        for name in ("pt_start_db", "pt_stop_db"):
+        for name in ("pt_start_db", "pt_stop_db", "pt_step_db"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.pt_step_db > 0:
@@ -130,6 +131,14 @@ class SweepSpec:
                 f"pt_start_db {self.pt_start_db}, pt_stop_db {self.pt_stop_db} and "
                 f"pt_step_db {self.pt_step_db} give more than {MAX_POWER_POINTS} power points"
             )
+        # the grid's ends, through db_to_linear's range rule; the last point
+        # may pass pt_stop_db by the rounding slack of _steps
+        ends = (("pt_start_db", self.pt_start_db), ("pt_stop_db", self.power_grid()[-1]))
+        for name, level in ends:
+            try:
+                db_to_linear(level)
+            except ValueError as exc:
+                raise ValueError(f"{name} must be finite as a linear power: {exc}") from None
         if not self.schemes:
             raise ValueError("at least one scheme must be requested")
         if not self.nodes:

@@ -160,20 +160,30 @@ def test_margin_counts_equal_direct_sinr_counts(scheme, node, r_oma):
 
 
 def test_thresholds_at_extreme_powers():
-    # overflow: the noise-free limit; underflow to 0: certain outage, even at gamma 0
-    got = _thresholds(0.5, [3100.0, -4000.0, 3000.0, 10.0])
-    assert got.tolist() == [0.0, math.inf, 0.5 / 1e300, 0.05]
-    assert _thresholds(0.0, [3100.0, -4000.0, 0.0]).tolist() == [0.0, math.inf, 0.0]
+    # a level outside float range raises; a subnormal power's bound
+    # overflows to +inf at gamma > 0 and stays 0 at gamma = 0
+    for level in (3100.0, -4000.0):
+        with pytest.raises(ValueError, match=f"{level:g} dB"):
+            _thresholds(0.5, [10.0, level])
+    got = _thresholds(0.5, [-3230.0, 3000.0, 10.0])
+    assert got.tolist() == [math.inf, 0.5 / 1e300, 0.05]
+    assert _thresholds(0.0, [-3230.0, 3082.0, 0.0]).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_curve_at_extreme_powers_reads_limits():
-    cfg = suburban(r_oma=0.0)
+    # the ends of float range: a subnormal power is certain outage at a
+    # positive threshold, and 3082 dB reads the noise-free limit Z <= 0,
+    # which only FD-NOMA's interference can reach; a zero threshold reads 0
     settings = McSettings(num_samples=1000, seed=2)
     pairs = [(scheme, node) for scheme in Scheme for node in Node]
-    curves = mc_outage_curves(cfg, pairs, [-4000.0, 3100.0], settings)
-    assert list(curves) == pairs
-    for pair in pairs:
-        assert [est.probability for est in curves[pair]] == [1.0, 0.0], pair
+    for r_oma in (0.2, 0.0):
+        curves = mc_outage_curves(suburban(r_oma=r_oma), pairs, [-3230.0, 3082.0], settings)
+        assert list(curves) == pairs
+        for scheme, node in pairs:
+            low, high = (est.probability for est in curves[scheme, node])
+            assert low == (1.0 if r_oma else 0.0), (scheme, node, r_oma)
+            if scheme is not Scheme.FD_NOMA or not r_oma:
+                assert high == 0.0, (scheme, node, r_oma)
 
 
 def test_nan_power_is_rejected_by_monte_carlo():
@@ -210,14 +220,13 @@ def heavy_uav3_uplink():
     [
         (suburban(), 5),
         (heavy_uav3_uplink(), 6),
-        (replace(suburban(), phase_noise_power=-4000.0), 5),
+        (replace(suburban(), epsilon=0.0), 4),
     ],
 )
 def test_each_distinct_link_law_sequence_is_drawn_once_per_batch(monkeypatch, cfg, per_batch):
     # reference laws per batch: K=10,m=10 | +SI (fd_noma/uav3's uplink too)
     # | +SI+error | K=10,m=3 | +uplink; m_13 = 3 adds K=10,m=10 | +K=10,m=3;
-    # an SI ratio that underflows to 0 drops SI from fd_noma/gs: +SI+error
-    # becomes +error, and fd_noma/uav3 draws +K=10,m=10 itself
+    # epsilon = 0 drops the error link from fd_noma/gs, so +SI+error goes
     sizes = []
 
     def counting(p, rng, size):

@@ -181,11 +181,6 @@ def test_signal_model_table():
     # mean power pt_linear * unit_mean, unit_mean = 1 / distance**pathloss_exp
     assert 90.0 * signal_model(cfg, Scheme.HD_OMA, Node.GS).desired.unit_mean == 10.0
     assert len(signal_model(suburban(epsilon=0.0), Scheme.FD_NOMA, Node.GS).interferers) == 1
-    # a self-interference ratio that underflows to 0 leaves the model too
-    silent = replace(cfg, phase_noise_power=-4000.0)
-    assert signal_model(silent, Scheme.FD_NOMA, Node.GS).interferers == (
-        signal_model(cfg, Scheme.FD_NOMA, Node.GS).interferers[1],
-    )
     # the estimation error: exponential power, a unit-mean K = 0 link scaled by epsilon
     error = signal_model(cfg, Scheme.FD_NOMA, Node.GS).interferers[1]
     assert error == Link(RicianShadowedParams(1.0, 0.0, 1.0), cfg.epsilon)
@@ -218,53 +213,34 @@ def test_infinite_threshold_guard_probability_one():
         assert result.converged
 
 
-@pytest.mark.parametrize("r_oma", [0.2, 0.0])  # 0.0: a zero threshold
-def test_underflowing_power_is_certain_outage(r_oma):
-    # 10^(-400) underflows to 0: only noise is left, as Monte Carlo reads it
-    cfg = suburban(pt_db=-4000.0, r_oma=r_oma)
-    for scheme, node in ALL_PAIRS:
-        result = OutageCurve(cfg, scheme, node).at(-4000.0)
-        assert (result.probability, result.converged) == (1.0, True)
-        assert evaluate_outage(cfg, scheme, node) == result
-        mc = mc_outage(cfg, scheme, node, McSettings(num_samples=1000, seed=4))
-        assert mc.probability == result.probability
+def test_subnormal_power_at_zero_rate_reads_zero_in_both_oracles():
+    # 10^(pt/10) is subnormal at -3230 dB: a zero threshold is never
+    # crossed, whatever a link's mean at the power point rounds to
+    cfg = suburban(pt_db=-3230.0, r_oma=0.0)
+    curves = mc_outage_curves(cfg, ALL_PAIRS, [-3230.0], McSettings(num_samples=1000, seed=4))
+    for pair in ALL_PAIRS:
+        assert evaluate_outage(cfg, *pair).probability == 0.0, pair
+        assert [est.probability for est in curves[pair]] == [0.0], pair
 
 
 def test_subnormal_power_band_reads_certain_outage_or_a_named_overflow():
-    # 10^(pt/10) is subnormal here, so a mean power can underflow to 0
-    # while pt itself does not
+    # 10^(pt/10) is subnormal here: at a positive threshold the series
+    # fails with its named term overflow, and Monte Carlo reads certain outage
     cfg = suburban()
+    grid = [float(pt_db) for pt_db in np.arange(-3232.0, -3224.9, 0.5)]
+    curves = mc_outage_curves(cfg, ALL_PAIRS, grid, McSettings(num_samples=1000, seed=4))
     for scheme, node in ALL_PAIRS:
         curve = OutageCurve(cfg, scheme, node)
-        for pt_db in np.arange(-3240.0, -3224.9, 0.5):
-            try:
-                result = curve.at(float(pt_db))
-            except OverflowError as error:
-                assert re.search(r"order \d+", str(error))
-                continue
-            assert 0.0 <= result.probability <= 1.0
-            if result.probability == 1.0:
-                mc = mc_outage(replace(cfg, p_t=float(pt_db)), scheme, node,
-                               McSettings(num_samples=1000, seed=4))
-                assert mc.probability == 1.0, (scheme, node, pt_db)
+        for pt_db in grid:
+            with pytest.raises(OverflowError, match=r"order \d+"):
+                curve.at(pt_db)
+        assert {est.probability for est in curves[scheme, node]} == {1.0}
 
 
 def test_underflowing_interferer_mean_drops_out_of_the_series():
     # epsilon = 1e-320 puts the estimation error's mean at 0 by -40 dB
     tiny = OutageCurve(suburban(epsilon=1e-320), Scheme.FD_NOMA, Node.GS).at(-40.0)
     assert tiny == OutageCurve(suburban(epsilon=0.0), Scheme.FD_NOMA, Node.GS).at(-40.0)
-
-
-def test_underflowing_self_interference_ratio_drops_out_of_the_series():
-    # a phase-noise level 3869 dB under the noise floor gives a linear ratio
-    # of 0: the self-interference link adds nothing, as with a vanishing one
-    cfg = suburban()
-    none = OutageCurve(replace(cfg, phase_noise_power=-4000.0), Scheme.FD_NOMA, Node.GS)
-    tiny = OutageCurve(replace(cfg, phase_noise_power=-3000.0), Scheme.FD_NOMA, Node.GS)
-    for pt_db in (0.0, 20.0):
-        assert none.at(pt_db).probability == pytest.approx(
-            tiny.at(pt_db).probability, rel=1e-12
-        )
 
 
 @pytest.mark.parametrize("pt_db", [-200.0, -300.0])
@@ -462,8 +438,12 @@ def test_pt_conversion_and_si_ratio():
 
 
 def test_db_to_linear_at_float_range_edges():
-    assert db_to_linear(3100.0) == math.inf  # 10^310 overflows
-    assert db_to_linear(-4000.0) == 0.0
+    # a positive finite float or a ValueError naming the level
+    for level in (3100.0, -4000.0, 3082.6, -3236.1):
+        with pytest.raises(ValueError, match=f"{level:g} dB"):
+            db_to_linear(level)
+    assert db_to_linear(3082.0) == pytest.approx(10.0**308.2, rel=1e-12)
+    assert 0.0 < db_to_linear(-3230.0) < 1e-322  # subnormal, still converts
     assert db_to_linear(-30.0) == pytest.approx(1e-3, rel=1e-14)
     with pytest.raises(ValueError, match="NaN"):
         db_to_linear(math.nan)

@@ -13,7 +13,7 @@ import pytest
 import fdnoma.cli
 from fdnoma.cli import main
 from fdnoma.montecarlo import McSettings, mc_outage, mc_outage_curves
-from fdnoma.outage import Node, OutageCurve, Scheme, evaluate_outage
+from fdnoma.outage import Node, OutageCurve, Scheme, db_to_linear, evaluate_outage
 from fdnoma.scenario import (
     CSV_HEADER,
     MAX_POWER_POINTS,
@@ -209,6 +209,7 @@ def assert_rejected(tmp_path, capsys, path, named):
         ("sweep", "pt_start_db", "-inf", "pt_start_db"),
         ("sweep", "pt_stop_db", "inf", "pt_stop_db"),
         ("sweep", "pt_stop_db", "nan", "pt_stop_db"),
+        ("sweep", "pt_step_db", "inf", "pt_step_db"),
         ("system", "phase_noise_dbm", "inf", "phase_noise_power"),
         ("system", "phase_noise_dbm", "nan", "phase_noise_power"),
         ("system", "noise_dbm", "inf", "noise_power"),
@@ -228,8 +229,8 @@ def test_non_finite_values_rejected(tmp_path, capsys, section, key, value, named
 @pytest.mark.parametrize(
     "extra,named",
     [
-        # 2e299 power points
-        ("\n[sweep]\npt_start_db = -1e300\n", "pt_step_db"),
+        # 600 001 power points
+        ("\n[sweep]\npt_start_db = -3000\npt_stop_db = 3000\npt_step_db = 0.01\n", "pt_step_db"),
         # HD-OMA's threshold 2^3000 - 1 overflows
         ("\n[system]\nr_oma = 3000\n", "r_oma"),
         # 3^1000 overflows; 0.001^200 underflows to 0
@@ -351,19 +352,26 @@ def test_sweep_spec_validation():
         SweepSpec(0.0, math.inf, 5.0, tuple(Scheme), tuple(Node), False, McSettings(seed=1))
     with pytest.raises(ValueError, match="node"):
         SweepSpec(0.0, 10.0, 5.0, tuple(Scheme), (), False, McSettings(seed=1))
-    # finite ends whose span overflows: no finite number of power points
+    # a step so fine that the point count overflows
     with pytest.raises(ValueError, match="pt_start_db .*pt_stop_db .*pt_step_db"):
-        SweepSpec(-1e308, 1e308, 5.0, tuple(Scheme), tuple(Node), False, McSettings(seed=1))
-    # the longest grid allowed, and one point more
+        SweepSpec(-3000.0, 3000.0, 5e-324, tuple(Scheme), tuple(Node), False, McSettings(seed=1))
+    # the longest grid allowed, and one point more (steps of 1/64 dB are exact)
     n = MAX_POWER_POINTS
-    spec = SweepSpec(0.0, n - 1.0, 1.0, tuple(Scheme), tuple(Node), False, McSettings(seed=1))
+    step = 1.0 / 64.0
+    stop = (n - 1) * step
+    spec = SweepSpec(0.0, stop, step, tuple(Scheme), tuple(Node), False, McSettings(seed=1))
     assert len(spec.power_grid()) == n
     with pytest.raises(ValueError, match=f"more than {n} power points"):
-        SweepSpec(0.0, float(n), 1.0, tuple(Scheme), tuple(Node), False, McSettings(seed=1))
+        SweepSpec(0.0, n * step, step, tuple(Scheme), tuple(Node), False, McSettings(seed=1))
+    # the last point may pass pt_stop_db by the rounding slack, here out of
+    # float range while pt_stop_db is not: the rule checks the point itself
+    with pytest.raises(ValueError, match="pt_stop_db must be finite"):
+        SweepSpec(3081.54715559955, 3082.547155599, 1.0, tuple(Scheme), tuple(Node), False,
+                  McSettings(seed=1))
 
 
 def test_power_grid_without_finite_point_count_rejected(tmp_path, capsys):
-    sweep = "\n[sweep]\npt_start_db = -1e308\npt_stop_db = 1e308\n"
+    sweep = "\n[sweep]\npt_start_db = -3000\npt_stop_db = 3000\npt_step_db = 5e-324\n"
     named = "pt_start_db .*pt_stop_db .*pt_step_db"
     assert_rejected(tmp_path, capsys, write(tmp_path, MINIMAL + sweep), named)
 
@@ -680,20 +688,16 @@ def test_cli_sweep_reports_failed_rows(monkeypatch, tmp_path, capsys):
 
 
 def test_cli_mc_sweep_at_overflowing_power(tmp_path, capsys):
-    # 10^310 overflows a float: the closed form fails that row, Monte Carlo
-    # reads the noise-free limit, and the sweep still writes every row
+    # 10^310 overflows a float: load rejects the grid's last point before
+    # either oracle runs
     sweep = "\n[sweep]\npt_start_db = 3000\npt_stop_db = 3100\npt_step_db = 50\n"
     path = write(tmp_path, MINIMAL + sweep + "schemes = fd_noma\nnodes = gs\n")
     out = tmp_path / "extreme.csv"
-    assert main(["sweep", "--config", path, "--out", str(out), "--mc", "--samples", "2000"]) == 0
+    assert main(["sweep", "--config", path, "--out", str(out), "--mc", "--samples", "2000"]) == 1
     err = capsys.readouterr().err
-    assert "1 row(s) failed" in err
-    assert "fd_noma gs at 3100 dB: OverflowError: transmit power 3100 dB" in err
-    lines = out.read_text(encoding="utf-8").splitlines()[1:]
-    assert [line.split(",")[2] for line in lines] == ["3000", "3050", "3100"]
-    for line in lines:
-        mc, se = (float(v) for v in line.split(",")[5:])
-        assert math.isfinite(mc) and math.isfinite(se) and 0.0 <= mc <= 1.0
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "pt_stop_db must be finite as a linear power: power level 3100 dB" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -709,7 +713,41 @@ def test_cli_point_at_overflowing_power(tmp_path, capsys, system, scheme, pt):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert f"transmit power {pt} dB" in captured.err
+    assert f"p_t must be finite as a linear power: power level {pt} dB" in captured.err
+
+
+@pytest.mark.parametrize("level", ["3100", "-4000"])
+def test_level_outside_float_range_is_rejected_everywhere(tmp_path, capsys, level):
+    # 10^(level/10) overflows, or underflows to 0: every entry point
+    # refuses the level through db_to_linear's one range rule
+    with pytest.raises(ValueError, match=f"power level {level} dB"):
+        db_to_linear(float(level))
+    for extra, named in [
+        (f"\n[system]\npt_db = {level}\n", "p_t"),
+        (f"\n[sweep]\npt_start_db = {level}\npt_stop_db = {level}\n", "pt_start_db"),
+        (f"\n[sweep]\npt_stop_db = {level}\n", "pt_stop_db"),
+        (f"\n[system]\nphase_noise_dbm = {level}\n", "phase_noise_power"),
+    ]:
+        assert_rejected(tmp_path, capsys, write(tmp_path, MINIMAL + extra), named)
+    path = write(tmp_path, MINIMAL)
+    args = ["point", "--config", path, "--scheme", "hd_oma", "--node", "gs", "--pt", level]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    cfg, _ = load_config(path)
+    pt = float(level)
+    settings = McSettings(num_samples=1000, seed=1)
+    for pair in [(scheme, node) for scheme in Scheme for node in Node]:
+        with pytest.raises(ValueError, match=f"power level {level} dB"):
+            OutageCurve(cfg, *pair).at(pt)
+        with pytest.raises(ValueError, match=f"power level {level} dB"):
+            mc_outage_curves(cfg, [pair], [0.0, pt], settings)
+        # a config cannot carry the level, so neither point evaluator is reached
+        with pytest.raises(ValueError, match="p_t must be finite"):
+            evaluate_outage(replace(cfg, p_t=pt), *pair)
+        with pytest.raises(ValueError, match="p_t must be finite"):
+            mc_outage(replace(cfg, p_t=pt), *pair, settings)
 
 
 def test_cli_point_where_a_link_mean_leaves_float_range(tmp_path, capsys):
@@ -727,25 +765,6 @@ def test_cli_point_where_a_link_mean_leaves_float_range(tmp_path, capsys):
     assert rows[1][2] == "3081"
     assert rows[1][3:] == rows[0][3:]
     assert 0.0 < float(rows[1][3]) < 1.0
-
-
-def test_mc_sweep_at_underflowing_power_is_certain_outage():
-    cfg, _ = load_config(REFERENCE)
-    spec = replace(
-        single_point_spec(with_mc=True), pt_start_db=-4000.0, pt_stop_db=-4000.0
-    )
-    rows = run_sweep(cfg, spec)
-    assert [(r.mc.probability, r.mc.std_error) for r in rows] == [(1.0, 0.0)] * 9
-
-
-def test_cli_point_at_underflowing_power_is_certain_outage(capsys):
-    for scheme in Scheme:
-        for node in Node:
-            args = ["point", "--config", REFERENCE, "--scheme", scheme.value,
-                    "--node", node.value, "--pt", "-4000"]
-            assert main(args) == 0
-            out = capsys.readouterr().out
-            assert out == f"{scheme.value},{node.value},-4000,1,true,,\n"
 
 
 def test_cli_sweep_fails_rows_whose_series_overflows(tmp_path, capsys):
