@@ -46,6 +46,10 @@ _GROWTH_BURN_IN = 10
 # exp() overflows just above this; used to detect hopeless series terms.
 _LOG_HUGE = 700.0
 
+# Samples per slice of a sampler's Gaussian draws: their buffer stays this
+# small whatever the sample count.
+_CHUNK = 1 << 14
+
 
 @dataclass(frozen=True)
 class RicianShadowedParams:
@@ -301,6 +305,10 @@ def sample_rician_shadowed(
     numpy's `gamma(m, s)` and `normal(0, s)` scale them (s times the
     standard draw), so it equals the same generator's
     (sqrt(gamma(m, Omega/m)) + normal(0, s))^2 + normal(0, s)^2 bit for bit.
+    The Gaussians are drawn in slices of `_CHUNK` samples into one small
+    buffer, all of c_r before any of c_i: numpy's generators give the same
+    stream and end state drawn in slices as in one call, so the only
+    buffer of the sample count is X itself.
     """
     import numpy as np
 
@@ -311,12 +319,18 @@ def sample_rician_shadowed(
     x = rng.standard_gamma(p.m, size)
     x *= omega / p.m
     np.sqrt(x, out=x)
-    c = rng.standard_normal(size)  # c_r
-    c *= scale
-    x += c
+    c = np.empty(min(size, _CHUNK))
+    parts = np.split(x, range(_CHUNK, size, _CHUNK))  # views of x
+    for part in parts:  # c_r
+        cr = c[: len(part)]
+        rng.standard_normal(out=cr)
+        cr *= scale
+        part += cr
     np.square(x, out=x)
-    rng.standard_normal(out=c)  # c_i, into the same buffer
-    c *= scale
-    np.square(c, out=c)
-    x += c
+    for part in parts:  # c_i
+        ci = c[: len(part)]
+        rng.standard_normal(out=ci)
+        ci *= scale
+        np.square(ci, out=ci)
+        part += ci
     return x

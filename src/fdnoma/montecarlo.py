@@ -21,6 +21,17 @@ the interferers; each distinct sequence of link laws is drawn once per
 batch (`mc_outage_curves`), and an estimate depends only on (config,
 scheme, node, power, settings), not on the other pairs or points of the
 sweep.
+Batches run on one thread per available core (`_workers`: the cores this
+process may run on, else `os.cpu_count()`), capped by the batch count.
+The calling thread is one of them, and every thread takes the next batch
+index from one shared queue until none is left.  A batch's counts are
+integers and the totals are their sums, so every estimate is identical
+for any worker count.  Within a batch the draws are made depth first
+along the trie of link-law prefixes and each is dropped after its last
+use, and a pair's margin overwrites a draw that no later pair reads where
+there is one.  A worker therefore holds at most one batch-sized array per
+link of the longest pair plus one margin, and chunk-sized temporaries:
+four 2 MB arrays on the reference scenario, of which three are reached.
 Samples within a point are independent, so its standard error is the
 binomial sqrt(p (1 - p) / n).  Points of one curve share their draws and
 are therefore correlated; each point's standard error is still valid on
@@ -33,10 +44,11 @@ As in `channel`, numpy is imported only inside the functions that use it.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from .channel import sample_rician_shadowed
+from .channel import _CHUNK, sample_rician_shadowed
 from .outage import Node, Scheme, SignalModel, SystemConfig, db_to_linear, signal_model
 
 if TYPE_CHECKING:
@@ -79,10 +91,9 @@ def _thresholds(gamma: float, pt_grid_db: Sequence[float]) -> np.ndarray:
     return np.array([gamma / db_to_linear(pt_db) for pt_db in pt_grid_db], dtype=float)
 
 
-def _margin(
-    model: SignalModel, desired: np.ndarray, interference: Sequence[np.ndarray]
-) -> np.ndarray:
-    """The power-free SINR margin Z of each sample of unit-mean draws.
+def _margin(model: SignalModel, draws: Sequence[np.ndarray], out: np.ndarray) -> np.ndarray:
+    """Write the power-free SINR margin Z of each sample of unit-mean draws
+    into `out` and return it.
 
     With X = pt u x and Y_j = pt u_j y_j, where u and u_j are the links'
     unit-power means (`Link.unit_mean`), the SINR is
@@ -92,16 +103,24 @@ def _margin(
     the same event as Z <= gamma / pt with
         Z = c u x - gamma sum_j u_j y_j,
     where c = 1 without a split and alloc - gamma residual (1 - alloc)
-    with one.  `interference` holds the interferers' draws in model order.
+    with one.  `draws` holds the desired link's draw, then the
+    interferers' in model order.  Z is formed `_CHUNK` samples at a time,
+    each slice read in full before it is written, so `out` may be one of
+    `draws` and the temporaries stay chunk-sized; every sample takes the
+    same operations in the same order as it would over whole arrays.
     """
     c = 1.0
     if model.split is not None:
         alloc, residual = model.split
         c = alloc - model.gamma * residual * (1.0 - alloc)
-    z = desired * (c * model.desired.unit_mean)
-    for link, draw in zip(model.interferers, interference):
-        z -= draw * (model.gamma * link.unit_mean)
-    return z
+    scales = [model.gamma * link.unit_mean for link in model.interferers]
+    for start in range(0, len(out), _CHUNK):
+        part = slice(start, start + _CHUNK)
+        z = draws[0][part] * (c * model.desired.unit_mean)
+        for draw, scale in zip(draws[1:], scales):
+            z -= draw[part] * scale
+        out[part] = z
+    return out
 
 
 def _outage_counts(margin: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
@@ -117,6 +136,105 @@ def _outage_counts(margin: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
 def _estimate(count: int, num_samples: int) -> McEstimate:
     p = count / num_samples
     return McEstimate(p, math.sqrt(p * (1.0 - p) / num_samples), num_samples)
+
+
+def _prefix_trie(models: dict[tuple[Scheme, Node], SignalModel]) -> tuple:
+    """The trie of every pair's link laws, desired link first, then the
+    interferers.  A node is (the pairs whose laws end there, {next law:
+    the node of the longer prefix})."""
+    root = ([], {})
+    for pair, model in models.items():
+        node = root
+        for link in (model.desired,) + model.interferers:
+            node = node[1].setdefault(link.fading, ([], {}))
+        node[0].append(pair)
+    return root
+
+
+def _batch_counts(
+    root: tuple,
+    models: dict[tuple[Scheme, Node], SignalModel],
+    thresholds: dict[tuple[Scheme, Node], np.ndarray],
+    rng: np.random.Generator,
+    size: int,
+) -> dict[tuple[Scheme, Node], np.ndarray]:
+    """Every pair's outage count at every threshold in one batch of `size`
+    samples drawn from `rng`.
+
+    Visits the trie depth first.  Each prefix is drawn once, from the
+    generator state saved after its parent's draw, so the order of the
+    visit changes no draw.  A prefix's longer prefixes come before its own
+    pairs, so its draw dies at its last pair, whose margin overwrites it;
+    the other pairs' margins take a fresh buffer, freed once counted.
+    """
+    import numpy as np
+
+    counts = {}
+    draws: list[np.ndarray] = []  # the draws of the prefix being visited
+
+    def visit(node: tuple, state: dict) -> None:
+        pairs, longer = node
+        for law, child in longer.items():
+            rng.bit_generator.state = state
+            draws.append(sample_rician_shadowed(law, rng, size))
+            visit(child, rng.bit_generator.state)
+            draws.pop()
+        for pair in pairs:
+            out = draws[-1] if pair == pairs[-1] else np.empty(size)
+            counts[pair] = _outage_counts(_margin(models[pair], draws, out), thresholds[pair])
+            del out  # a fresh buffer goes before the next one is made
+
+    visit(root, rng.bit_generator.state)
+    return counts
+
+
+def _workers() -> int:
+    """Cores this process may run on: its CPU affinity where the platform
+    reports one, else the machine's core count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _map_batches(work: Callable[[int], dict], count: int) -> list[dict]:
+    """[work(0), ..., work(count - 1)], run on `_workers()` threads at most.
+
+    The calling thread is one worker; the others are helper threads.  Each
+    worker takes the next index from one shared queue until none is left.
+    After the first exception no worker takes another index, every helper
+    is joined, and that exception is raised in the calling thread.
+    """
+    import threading
+
+    results: list[dict] = [{}] * count
+    failures: list[BaseException] = []
+    indices = iter(range(count))
+    lock = threading.Lock()
+
+    def worker() -> None:
+        while not failures:
+            with lock:
+                index = next(indices, None)
+            if index is None:
+                return
+            try:
+                results[index] = work(index)
+            except BaseException as exc:  # noqa: BLE001 - re-raised by the caller
+                failures.append(exc)
+
+    # daemon: an interrupt that lands in a join leaves no helper keeping
+    # the interpreter alive
+    helpers = [threading.Thread(target=worker, daemon=True)
+               for _ in range(min(_workers(), count) - 1)]
+    for helper in helpers:
+        helper.start()
+    worker()
+    for helper in helpers:
+        helper.join()
+    if failures:
+        raise failures[0]
+    return results
 
 
 def mc_outage_curves(
@@ -137,34 +255,26 @@ def mc_outage_curves(
     make alike and each sees exactly the streams it would see alone.  Each
     pair's draws serve its whole grid through the margin of `_margin`:
     it sorts Z once and finds every threshold in it, so neither the drawing
-    nor the per-sample arithmetic grows with the grid.  Ties (SINR exactly
+    nor the per-sample arithmetic grows with the grid.  Batches run on
+    `_workers()` threads and their integer counts are summed, so the
+    estimates do not depend on the worker count.  Ties (SINR exactly
     at threshold) count as outage, matching the event definition used by
     the closed form; the event has probability zero under the continuous
     fading model.  A level outside `db_to_linear`'s range raises its
     ValueError.  The transmit power `cfg.p_t` itself is not used.
     """
-    import numpy as np
-
     models = {pair: signal_model(cfg, *pair) for pair in pairs}
     thresholds = {pair: _thresholds(model.gamma, pt_grid_db) for pair, model in models.items()}
-    counts = {pair: np.zeros(len(pt_grid_db), dtype=np.int64) for pair in models}
-    for index, start in enumerate(range(0, mc.num_samples, _BATCH)):
-        size = min(_BATCH, mc.num_samples - start)
-        rng = _batch_rng(mc.seed, index)
-        # link-law prefix -> (draw of its last law, generator state after it)
-        draws = {(): (None, rng.bit_generator.state)}
-        for pair, model in models.items():
-            key, unit = (), []
-            for link in (model.desired,) + model.interferers:
-                prefix, key = key, key + (link.fading,)
-                if key not in draws:
-                    rng.bit_generator.state = draws[prefix][1]
-                    draw = sample_rician_shadowed(link.fading, rng, size)
-                    draws[key] = (draw, rng.bit_generator.state)
-                unit.append(draws[key][0])
-            counts[pair] += _outage_counts(_margin(model, unit[0], unit[1:]), thresholds[pair])
+    root = _prefix_trie(models)
+    sizes = [min(_BATCH, mc.num_samples - start) for start in range(0, mc.num_samples, _BATCH)]
+
+    def batch(index: int) -> dict[tuple[Scheme, Node], np.ndarray]:
+        return _batch_counts(root, models, thresholds, _batch_rng(mc.seed, index), sizes[index])
+
+    batches = _map_batches(batch, len(sizes))
     return {
-        pair: [_estimate(int(count), mc.num_samples) for count in counts[pair]]
+        pair: [_estimate(int(count), mc.num_samples)
+               for count in sum(counts[pair] for counts in batches)]
         for pair in models
     }
 

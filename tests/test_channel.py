@@ -600,12 +600,13 @@ def test_sampler_is_numpys_gamma_normal_normal_stream(k, m):
     p = RicianShadowedParams(1.7, k, m)
     omega = p.mean_power * k / (1.0 + k)
     s = math.sqrt(p.mean_power / (1.0 + k) / 2.0)
-    ours, numpys = rng_for(11), rng_for(11)
-    x = sample_rician_shadowed(p, ours, 5000)
-    los = np.sqrt(numpys.gamma(m, omega / m, 5000))
-    want = np.square(los + numpys.normal(0, s, 5000)) + np.square(numpys.normal(0, s, 5000))
-    assert np.array_equal(x, want)
-    assert ours.bit_generator.state == numpys.bit_generator.state
+    for size in (5000, 40_000):  # 40_000: past two Gaussian slices, not a multiple
+        ours, numpys = rng_for(11), rng_for(11)
+        x = sample_rician_shadowed(p, ours, size)
+        los = np.sqrt(numpys.gamma(m, omega / m, size))
+        c_r, c_i = numpys.normal(0, s, size), numpys.normal(0, s, size)
+        assert np.array_equal(x, np.square(los + c_r) + np.square(c_i))
+        assert ours.bit_generator.state == numpys.bit_generator.state
 
 
 def test_sampler_large_m_approaches_rician():

@@ -1,6 +1,10 @@
 """Unit tests for the Monte Carlo oracle."""
 
 import math
+import sys
+import threading
+import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -147,16 +151,22 @@ def test_batch_boundary_sizes():
 @pytest.mark.parametrize("scheme", list(Scheme))
 @pytest.mark.parametrize("node", list(Node))
 def test_margin_counts_equal_direct_sinr_counts(scheme, node, r_oma):
-    # sample by sample on the same draws: Z <= gamma / pt iff SINR <= gamma
+    # sample by sample on the same draws: Z <= gamma / pt iff SINR <= gamma;
+    # the margin may overwrite the last draw, as a batch's last pair does,
+    # and a partial last chunk reads like the rest
     cfg = suburban(r_oma=r_oma)
     model = signal_model(cfg, scheme, node)
     grid = [30.0, 0.0, 60.0]
     rng = _batch_rng(12, 0)
     links = (model.desired,) + model.interferers
-    unit = [sample_rician_shadowed(link.fading, rng, 1 << 16) for link in links]
-    counts = _outage_counts(_margin(model, unit[0], unit[1:]), _thresholds(model.gamma, grid))
+    size = (1 << 16) + 1000
+    unit = [sample_rician_shadowed(link.fading, rng, size) for link in links]
     want = [direct_outage_count(model, unit, 10.0 ** (pt / 10.0)) for pt in grid]
-    assert counts.tolist() == want
+    fresh = _margin(model, unit, np.empty(size))
+    last = unit[-1]
+    assert _margin(model, unit, last) is last
+    assert np.array_equal(last, fresh)
+    assert _outage_counts(fresh, _thresholds(model.gamma, grid)).tolist() == want
 
 
 def test_thresholds_at_extreme_powers():
@@ -237,13 +247,94 @@ def test_each_distinct_link_law_sequence_is_drawn_once_per_batch(monkeypatch, cf
     grid = [0.0, 15.0, 40.0]
     settings = McSettings(num_samples=300_000, seed=9)  # two batches
     together = mc_outage_curves(cfg, ALL_PAIRS, grid, settings)
-    assert sizes == [1 << 18] * per_batch + [300_000 - (1 << 18)] * per_batch
+    # batches may run on several threads, so only the multiset is fixed
+    assert Counter(sizes) == {1 << 18: per_batch, 300_000 - (1 << 18): per_batch}
     for pair in ALL_PAIRS:
         sizes.clear()
         alone = mc_outage_curves(cfg, [pair], grid, settings)[pair]
         assert len(sizes) == 2 * (1 + len(signal_model(cfg, *pair).interferers)), pair
         # sharing draws leaves every pair the stream it sees alone
         assert together[pair] == alone, pair
+
+
+def fixed_workers(monkeypatch, workers):
+    monkeypatch.setattr(fdnoma.montecarlo, "_workers", lambda: workers)
+
+
+@pytest.mark.parametrize("num_samples", [300_000, 3 * (1 << 18) + 1000])
+def test_worker_count_changes_no_estimate(monkeypatch, num_samples):
+    # a partial last batch, and more batches than workers; a short switch
+    # interval makes a lost or repeated batch index likely to show
+    cfg = suburban()
+    grid = [0.0, 15.0, 40.0]
+    settings = McSettings(num_samples=num_samples, seed=23)
+    threads = threading.active_count()
+    curves = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers in (1, 2, 3):
+            fixed_workers(monkeypatch, workers)
+            curves.append(mc_outage_curves(cfg, ALL_PAIRS, grid, settings))
+            assert threading.active_count() == threads
+            point = mc_outage(replace(cfg, p_t=15.0), Scheme.FD_NOMA, Node.GS, settings)
+            assert point == curves[-1][Scheme.FD_NOMA, Node.GS][1]
+    finally:
+        sys.setswitchinterval(interval)
+    assert curves[0] == curves[1] == curves[2]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_peak_memory_is_four_batch_arrays_per_worker(monkeypatch, workers):
+    # the reference pairs at two full batches: the deepest prefix holds
+    # three draws, and a margin needs at most one more buffer
+    fixed_workers(monkeypatch, workers)
+    settings = McSettings(num_samples=2 << 18, seed=4)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        mc_outage_curves(suburban(), ALL_PAIRS, [0.0, 30.0], settings)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= workers * 4 * 8 * (1 << 18)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_exception_in_a_batch_reaches_the_caller(monkeypatch, workers):
+    # batch 1 of 300_000 samples is the partial one
+    fixed_workers(monkeypatch, workers)
+
+    def failing(p, rng, size):
+        if size != 1 << 18:
+            raise RuntimeError("batch 1 failed")
+        return sample_rician_shadowed(p, rng, size)
+
+    monkeypatch.setattr(fdnoma.montecarlo, "sample_rician_shadowed", failing)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="batch 1 failed"):
+        mc_outage_curves(suburban(), ALL_PAIRS, [10.0], McSettings(300_000, 3))
+    assert threading.active_count() == threads
+
+
+def test_exception_in_a_helper_thread_reaches_the_caller(monkeypatch):
+    # the caller's batch waits until a helper thread has failed in the other
+    fixed_workers(monkeypatch, 2)
+    helper_failed = threading.Event()
+
+    def failing_off_the_caller(p, rng, size):
+        if threading.current_thread() is not threading.main_thread():
+            helper_failed.set()
+            raise RuntimeError("helper failed")
+        assert helper_failed.wait(timeout=60)
+        return sample_rician_shadowed(p, rng, size)
+
+    monkeypatch.setattr(fdnoma.montecarlo, "sample_rician_shadowed", failing_off_the_caller)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="helper failed"):
+        mc_outage_curves(suburban(), ALL_PAIRS, [10.0], McSettings(300_000, 3))
+    assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize(

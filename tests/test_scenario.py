@@ -261,6 +261,12 @@ def test_bench_config_loads():
     assert len(spec.power_grid()) == 61
 
 
+def test_empty_list_tokens_are_skipped(tmp_path):
+    path = write(tmp_path, MINIMAL + "\n[sweep]\nschemes = fd_noma,,hd_oma,\n")
+    _, spec = load_config(path)
+    assert spec.schemes == (Scheme.FD_NOMA, Scheme.HD_OMA)
+
+
 def test_unknown_scheme_rejected(tmp_path):
     path = write(tmp_path, MINIMAL + "\n[sweep]\nschemes = fd_noma,td_noma\n")
     with pytest.raises(ConfigError, match="td_noma"):
@@ -546,7 +552,8 @@ def test_cli_sweep_fails_every_row_whose_cdf_coefficients_overflow(tmp_path, cap
 
 def test_closed_form_path_does_not_load_numpy():
     # numpy is imported where samples are drawn; a closed-form point, the
-    # loader and a sweep without Monte Carlo never get there
+    # loader and a sweep without Monte Carlo never get there.  Neither path
+    # loads concurrent.futures: Monte Carlo's threads come from threading
     script = f"""
 import sys
 from dataclasses import replace
@@ -554,9 +561,9 @@ import fdnoma
 cfg, spec = fdnoma.load_config({REFERENCE!r})
 fdnoma.evaluate_outage(cfg, fdnoma.Scheme.HD_OMA, fdnoma.Node.GS)
 fdnoma.run_sweep(cfg, spec)
-print("numpy" in sys.modules)
+print("numpy" in sys.modules, "concurrent.futures" in sys.modules)
 fdnoma.run_sweep(cfg, replace(spec, with_mc=True, mc=fdnoma.McSettings(num_samples=1000)))
-print("numpy" in sys.modules)
+print("numpy" in sys.modules, "concurrent.futures" in sys.modules)
 """
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -564,7 +571,7 @@ print("numpy" in sys.modules)
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["False", "True"]
+    assert done.stdout.split() == ["False", "False", "True", "False"]
 
 
 def test_cli_point_invalid_scheme():
