@@ -5,9 +5,7 @@
     fdnoma point --config scenario.ini --scheme fd_noma --node uav2 --pt 20
 
 Exit codes: 0 on success, 1 on config, validation or arithmetic errors,
-2 when --strict is set and any sweep row failed to converge.  A sweep
-whose evaluator raised on some rows writes them as NaN and says so on
-stderr, whatever the exit code.
+2 when --strict is set and any sweep row failed to converge.
 """
 
 from __future__ import annotations
@@ -74,14 +72,6 @@ def _run_sweep(args) -> int:
     emit_csv(rows, args.out)
     if args.plot_data:
         emit_plot_data(rows, args.plot_data)
-    failed = [row for row in rows if row.error is not None]
-    if failed:
-        first = failed[0]
-        print(
-            f"warning: {len(failed)} row(s) failed to evaluate (first: "
-            f"{first.scheme.value} {first.node.value} at {first.pt_db:g} dB: {first.error})",
-            file=sys.stderr,
-        )
     bad = [row for row in rows if not row.closed.converged]
     if args.strict and bad:
         print(

@@ -156,16 +156,14 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One (scheme, node, power) point: the closed form's record, the
-    Monte Carlo estimate if one was asked for, and why the closed form
-    raised, if it did (not written to CSV)."""
+    """One (scheme, node, power) point: the closed form's record and the
+    Monte Carlo estimate if one was asked for."""
 
     scheme: Scheme
     node: Node
     pt_db: float
     closed: OutageResult
     mc: McEstimate | None = None
-    error: str | None = None
 
 
 def _parse(kind: type, text: str, name: str):
@@ -285,31 +283,6 @@ def _parse_enum_list(raw: str, enum_cls, what: str):
     return tuple(dict.fromkeys(values))  # dedupe, keep order
 
 
-def _evaluate_curve(
-    cfg: SystemConfig, scheme: Scheme, node: Node, grid: list[float]
-) -> list[tuple[OutageResult, str | None]]:
-    """(record, error) of each power point of one pair.  An evaluator
-    error fails its rows (a NaN record, converged=False) and is kept as
-    text; a failure while building the curve fails all of them."""
-
-    def failed(exc: Exception) -> tuple[OutageResult, str]:
-        return OutageResult(math.nan, math.nan, False), f"{type(exc).__name__}: {exc}"
-
-    try:
-        curve = OutageCurve(cfg, scheme, node)
-    except (ValueError, ArithmeticError) as exc:
-        return [failed(exc)] * len(grid)
-    out = []
-    for pt in grid:
-        try:
-            result = curve.at(pt)
-        except (ValueError, ArithmeticError) as exc:
-            out.append(failed(exc))
-        else:
-            out.append((result, None))
-    return out
-
-
 def run_sweep(cfg: SystemConfig, spec: SweepSpec) -> tuple[SweepRow, ...]:
     """Evaluate every requested (scheme, node, transmit power) row.
 
@@ -319,10 +292,11 @@ def run_sweep(cfg: SystemConfig, spec: SweepSpec) -> tuple[SweepRow, ...]:
     `mc_outage_curves` call over every pair with seed `spec.mc.seed`,
     whose (seed, batch) substreams every row of a pair shares, so a row
     equals `mc_outage` at its power.  Each row holds the evaluators'
-    records as they return them.  Evaluator errors (say, a series term
-    past double range far below the noise floor) mark the row failed
-    (a NaN record, converged=False, `error` set) without aborting the
-    sweep.
+    records as they return them.  The first closed-form ArithmeticError
+    (say, a series term past double range far below the noise floor)
+    ends the sweep: it is raised again, same type, its message prefixed
+    with the row's "{scheme} {node} at {pt} dB: " (the first power point
+    for a failure while building the curve).
     """
     grid = spec.power_grid()
     combos = sorted(
@@ -332,10 +306,15 @@ def run_sweep(cfg: SystemConfig, spec: SweepSpec) -> tuple[SweepRow, ...]:
     simulated = mc_outage_curves(cfg, combos, grid, spec.mc) if spec.with_mc else {}
     rows: list[SweepRow] = []
     for scheme, node in combos:
-        closed = _evaluate_curve(cfg, scheme, node, grid)
         estimates = simulated.get((scheme, node), [None] * len(grid))
-        for pt, (result, error), estimate in zip(grid, closed, estimates):
-            rows.append(SweepRow(scheme, node, pt, result, estimate, error))
+        pt = grid[0]
+        try:
+            curve = OutageCurve(cfg, scheme, node)
+            for pt, estimate in zip(grid, estimates):
+                rows.append(SweepRow(scheme, node, pt, curve.at(pt), estimate))
+        except ArithmeticError as exc:
+            where = f"{scheme.value} {node.value} at {pt:g} dB"
+            raise type(exc)(f"{where}: {exc}") from exc
     return tuple(rows)
 
 

@@ -3,10 +3,12 @@
 import importlib
 import pkgutil
 import types
+from dataclasses import fields
 
 import pytest
 
 import fdnoma
+from fdnoma.scenario import SweepRow
 
 # every module of the package declares __all__, except the CLI entry point
 MODULES = sorted(
@@ -52,4 +54,11 @@ def test_package_exports_are_pinned():
     assert exported == PACKAGE_EXPORTS, (
         f"added: {sorted(exported - PACKAGE_EXPORTS)}, "
         f"dropped: {sorted(PACKAGE_EXPORTS - exported)}"
+    )
+
+
+def test_sweep_row_fields_are_pinned():
+    # a row holds the evaluators' records and nothing else
+    assert tuple(field.name for field in fields(SweepRow)) == (
+        "scheme", "node", "pt_db", "closed", "mc",
     )

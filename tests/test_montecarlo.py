@@ -1,6 +1,7 @@
 """Unit tests for the Monte Carlo oracle."""
 
 import math
+import os
 import sys
 import threading
 import tracemalloc
@@ -259,6 +260,12 @@ def test_each_distinct_link_law_sequence_is_drawn_once_per_batch(monkeypatch, cf
 
 def fixed_workers(monkeypatch, workers):
     monkeypatch.setattr(fdnoma.montecarlo, "_workers", lambda: workers)
+
+
+def test_worker_count_without_cpu_affinity_is_the_core_count(monkeypatch):
+    # platforms that report no CPU affinity fall back to the machine's cores
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert fdnoma.montecarlo._workers() == (os.cpu_count() or 1)
 
 
 @pytest.mark.parametrize("num_samples", [300_000, 3 * (1 << 18) + 1000])

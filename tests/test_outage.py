@@ -45,6 +45,10 @@ def test_rate_fairness_rule():
     assert rate_for(Scheme.FD_NOMA, 0.2) == pytest.approx(0.2 / 3.0, rel=1e-15)
     assert rate_for(Scheme.HD_NOMA, 0.2) == pytest.approx(0.1, rel=1e-15)
     assert rate_for(Scheme.HD_OMA, 0.2) == 0.2
+    # a config cannot carry these; the rule still holds for direct callers
+    for bad in (-0.1, math.nan):
+        with pytest.raises(ValueError, match="base rate must be non-negative"):
+            rate_for(Scheme.HD_OMA, bad)
 
 
 def test_sinr_threshold_values():
@@ -52,6 +56,9 @@ def test_sinr_threshold_values():
     # hand arithmetic: 2^0.2 - 1 and 2^0.1 - 1
     assert sinr_threshold(0.2) == pytest.approx(0.14869835499703501, rel=1e-12)
     assert sinr_threshold(0.1) == pytest.approx(0.071773462536293164, rel=1e-12)
+    for bad in (-0.1, math.nan):
+        with pytest.raises(ValueError, match="rate must be non-negative"):
+            sinr_threshold(bad)
 
 
 def test_threshold_ordering():
@@ -282,6 +289,26 @@ def test_hd_gs_never_exceeds_oma_gs():
         cfg = suburban(pt_db=float(pt))
         hd = evaluate_outage(cfg, Scheme.HD_NOMA, Node.GS).probability
         assert hd <= evaluate_outage(cfg, Scheme.HD_OMA, Node.GS).probability + 1e-15
+
+
+@pytest.mark.parametrize("r_oma", [0.2, 0.7, 1.5])
+def test_hd_noma_gs_is_hd_oma_gs_at_the_same_rate(r_oma):
+    # the ground station's half-duplex uplink sees no interference in either
+    # scheme, so only the rate tells them apart: HD-NOMA at r_oma is HD-OMA
+    # at the base rate that gives HD-OMA the same rate, bit for bit in both
+    # oracles (Monte Carlo draws depend only on the pair's link laws)
+    rate = rate_for(Scheme.HD_NOMA, r_oma)
+    assert rate == r_oma / 2 and rate_for(Scheme.HD_OMA, rate) == rate
+    noma, oma = (Scheme.HD_NOMA, Node.GS), (Scheme.HD_OMA, Node.GS)
+    grid = [0.0, 10.0, 30.0]
+    settings = McSettings(num_samples=2**16, seed=11)
+    cfg_noma, cfg_oma = suburban(r_oma=r_oma), suburban(r_oma=rate)
+    curve_noma, curve_oma = OutageCurve(cfg_noma, *noma), OutageCurve(cfg_oma, *oma)
+    for pt in grid:
+        assert curve_noma.at(pt) == curve_oma.at(pt), pt
+    mc_noma = mc_outage_curves(cfg_noma, [noma], grid, settings)[noma]
+    mc_oma = mc_outage_curves(cfg_oma, [oma], grid, settings)[oma]
+    assert mc_noma == mc_oma
 
 
 @pytest.mark.parametrize(

@@ -526,28 +526,23 @@ def test_cli_sweep_evaluates_an_interferer_with_extreme_k_over_m(tmp_path, capsy
         assert abs(float(row[3]) - est.probability) < 3 * est.std_error, (row, est)
 
 
-def test_cli_sweep_fails_every_row_whose_cdf_coefficients_overflow(tmp_path, capsys):
+def test_cli_sweep_stops_at_the_first_row_whose_cdf_coefficients_overflow(tmp_path, capsys):
     # K/m = 2e6 on the uplink: at k_tr 63 the 2F1 factor of its CDF
-    # coefficient of order 49 leaves double range, so the three ground
-    # station curves, whose desired link it is, fail with that reason
+    # coefficient of order 49 leaves double range, so building the first
+    # ground station curve, whose desired link it is, ends the sweep with
+    # that reason, named at the curve's first power point
     fading = "\n[fading]\nk_1g = 1e5\nm_1g = 0.05\n"
     sweep = "\n[sweep]\npt_start_db = 0\npt_stop_db = 10\n"
     path = write(tmp_path, MINIMAL + fading + sweep)
     out = tmp_path / "sweep.csv"
-    assert main(["sweep", "--config", path, "--out", str(out), "--ktr", "63"]) == 0
+    plot = tmp_path / "sweep.dat"
+    args = ["--config", path, "--out", str(out), "--plot-data", str(plot), "--ktr", "63"]
+    assert main(["sweep"] + args) == 1
     assert capsys.readouterr().err == (
-        "warning: 9 row(s) failed to evaluate (first: fd_noma gs at 0 dB: "
-        "OverflowError: CDF coefficient of order 49: its 2F1 factor overflows "
-        "double precision (K/m = 2e+06))\n"
+        "error: fd_noma gs at 0 dB: CDF coefficient of order 49: its 2F1 factor "
+        "overflows double precision (K/m = 2e+06)\n"
     )
-    lines = out.read_text(encoding="utf-8").splitlines()[1:]
-    failed = [line for line in lines if line.split(",")[1] == "gs"]
-    assert failed == [
-        f"{scheme},gs,{pt},nan,false,,"
-        for scheme in ("fd_noma", "hd_noma", "hd_oma")
-        for pt in (0, 5, 10)
-    ]
-    assert all(",nan," not in line for line in lines if line not in failed)
+    assert not out.exists() and not plot.exists()
 
 
 def test_closed_form_path_does_not_load_numpy():
@@ -667,7 +662,8 @@ def test_cli_sweep_rejects_unsupported_ktr(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_cli_sweep_reports_failed_rows(monkeypatch, tmp_path, capsys):
+@pytest.mark.parametrize("strict", [[], ["--strict"]], ids=["plain", "strict"])
+def test_cli_sweep_stops_at_the_first_failing_row(monkeypatch, tmp_path, capsys, strict):
     evaluate = OutageCurve.at
 
     def fail_at_10_db(curve, pt_db):
@@ -677,21 +673,9 @@ def test_cli_sweep_reports_failed_rows(monkeypatch, tmp_path, capsys):
 
     monkeypatch.setattr(OutageCurve, "at", fail_at_10_db)
     out = tmp_path / "sweep.csv"
-    assert main(["sweep", "--config", REFERENCE, "--out", str(out)]) == 0
-    err = capsys.readouterr().err
-    assert err == (
-        "warning: 9 row(s) failed to evaluate "
-        "(first: fd_noma gs at 10 dB: OverflowError: math range error)\n"
-    )
-    # the failed rows read NaN, not converged; every other byte is unchanged
-    with open(REFERENCE_CSV, encoding="utf-8") as handle:
-        want = [line.split(",") for line in handle.read().splitlines()]
-    for fields in want:
-        if fields[2] == "10":
-            fields[3:5] = ["nan", "false"]
-    assert out.read_text(encoding="utf-8") == "".join(",".join(f) + "\n" for f in want)
-    assert main(["sweep", "--config", REFERENCE, "--out", str(out), "--strict"]) == 2
-    assert "warning: 9 row(s)" in capsys.readouterr().err
+    assert main(["sweep", "--config", REFERENCE, "--out", str(out)] + strict) == 1
+    assert capsys.readouterr().err == "error: fd_noma gs at 10 dB: math range error\n"
+    assert not out.exists()
 
 
 def test_cli_mc_sweep_at_overflowing_power(tmp_path, capsys):
@@ -774,17 +758,38 @@ def test_cli_point_where_a_link_mean_leaves_float_range(tmp_path, capsys):
     assert 0.0 < float(rows[1][3]) < 1.0
 
 
-def test_cli_sweep_fails_rows_whose_series_overflows(tmp_path, capsys):
+def test_cli_mc_sweep_stops_where_the_series_overflows(tmp_path, capsys):
     # at -300 dB every pair's leading series terms leave double range: the
-    # rows fail with that reason instead of reading a partial sum
+    # first pair's row ends the sweep with that reason instead of a partial sum
     sweep = "\n[sweep]\npt_start_db = -300\npt_stop_db = -300\npt_step_db = 1\n"
     path = write(tmp_path, MINIMAL + sweep)
     out = tmp_path / "low.csv"
-    assert main(["sweep", "--config", path, "--out", str(out), "--mc", "--samples", "2000"]) == 0
+    assert main(["sweep", "--config", path, "--out", str(out), "--mc", "--samples", "2000"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("warning: 9 row(s) failed to evaluate (first: fd_noma gs at -300 dB: ")
-    assert "OverflowError: series term of order" in err
-    lines = out.read_text(encoding="utf-8").splitlines()[1:]
-    assert len(lines) == 9
-    for line in lines:
-        assert line.split(",")[3:] == ["nan", "false", "1", "0"]
+    assert err.startswith("error: fd_noma gs at -300 dB: series term of order ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_point_and_sweep_fail_alike(tmp_path, capsys):
+    # one failing input through both entry points: the same reason, the
+    # sweep's prefixed with the row it names
+    point = ["point", "--config", REFERENCE, "--scheme", "fd_noma", "--node", "gs", "--pt", "-300"]
+    assert main(point) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    reason = captured.err[len("error: "):]
+    parser = read_reference()
+    for key, value in [("pt_start_db", "-300"), ("pt_stop_db", "-300"),
+                       ("schemes", "fd_noma"), ("nodes", "gs")]:
+        parser.set("sweep", key, value)
+    path = str(tmp_path / "low.ini")
+    with open(path, "w", encoding="utf-8") as handle:
+        parser.write(handle)
+    out = tmp_path / "low.csv"
+    assert main(["sweep", "--config", path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: fd_noma gs at -300 dB: {reason}"
+    assert not out.exists()
+    cfg, spec = load_config(path)
+    with pytest.raises(OverflowError, match=r"^fd_noma gs at -300 dB: series term of order"):
+        run_sweep(cfg, spec)
