@@ -138,16 +138,20 @@ def rician_shadowed_moment(p: RicianShadowedParams, order: int) -> float:
     return math.exp(log_m)
 
 
-def _cdf_factor(n: int, b: float, z: float) -> float:
-    """F_n = 2F1(-n, b; 1; z), summed term by term: the series terminates
-    after n + 1 terms."""
-    total = 0.0
-    term = 1.0
-    for k in range(n + 1):
-        if k > 0:
-            term *= (k - 1 - n) * (b + k - 1) / (k * k) * z
-        total += term
-    return total
+def _cdf_factors(k_tr: int, b: float, z: float) -> list[float]:
+    """F_n = 2F1(-n, b; 1; z) for n = 0..k_tr, each summed term by term:
+    the series of order n terminates after n + 1 terms.  The column
+    constants b + k - 1 and k^2 are computed once for all orders."""
+    rising = [b + k - 1 for k in range(k_tr + 1)]
+    squares = [k * k for k in range(k_tr + 1)]
+    factors = []
+    for n in range(k_tr + 1):
+        total = term = 1.0
+        for k in range(1, n + 1):
+            term *= (k - 1 - n) * rising[k] / squares[k] * z
+            total += term
+        factors.append(total)
+    return factors
 
 
 def _log_sum_exp(logs: list[float]) -> float:
@@ -174,10 +178,11 @@ class TruncatedSeries:
     computes every part that does not depend on p:
 
     * alpha(n) = x^(n+1) (m/(K+m))^(m+n) (-1)^n F_n / (n+1)! with the series
-      argument x = (1+K) gamma / (p P0) and F_n = 2F1(-n, 1-m; 1; -K/m), one
-      terminating `_cdf_factor` sum per order.  F_n is the Pfaff transform
-      (DLMF 15.8.1) of the alternating sum S(n) of Abdi et al. (IEEE TWC
-      2003), whose own terms cancel far below double precision near x = 15.
+      argument x = (1+K) gamma / (p P0) and F_n = 2F1(-n, 1-m; 1; -K/m),
+      every order's terminating sum in one `_cdf_factors` table.  F_n is
+      the Pfaff transform (DLMF 15.8.1) of the alternating sum S(n) of Abdi
+      et al. (IEEE TWC 2003), whose own terms cancel far below double
+      precision near x = 15.
       An F_n past double range (K/m above about 4e4) raises OverflowError;
     * log(E{S^l}/l!) for l = 0..k_tr+1, convolving the J interferers'
       log(E{Y_j^l}/l!) = l log P_j + shape_j(l) in log space with
@@ -212,8 +217,7 @@ class TruncatedSeries:
         self._log_scale = math.log1p(k) + math.log(gamma) - math.log(desired.mean_power)
         log_ratio = math.log(m) - math.log(k + m)
         self._alpha = []
-        for n in range(k_tr + 1):
-            f_n = _cdf_factor(n, 1.0 - m, -k / m)
+        for n, f_n in enumerate(_cdf_factors(k_tr, 1.0 - m, -k / m)):
             if not math.isfinite(f_n):
                 raise OverflowError(
                     f"CDF coefficient of order {n}: its 2F1 factor overflows "

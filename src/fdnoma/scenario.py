@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .channel import OutageResult, RicianShadowedParams
@@ -287,34 +287,37 @@ def run_sweep(cfg: SystemConfig, spec: SweepSpec) -> tuple[SweepRow, ...]:
     """Evaluate every requested (scheme, node, transmit power) row.
 
     Rows are sorted by (scheme, node, pt).  The closed form of each pair
-    is one `OutageCurve` over the power grid.  Monte Carlo columns are
-    present iff the spec asks for them; they come from one
-    `mc_outage_curves` call over every pair with seed `spec.mc.seed`,
-    whose (seed, batch) substreams every row of a pair shares, so a row
-    equals `mc_outage` at its power.  Each row holds the evaluators'
-    records as they return them.  The first closed-form ArithmeticError
-    (say, a series term past double range far below the noise floor)
-    ends the sweep: it is raised again, same type, its message prefixed
-    with the row's "{scheme} {node} at {pt} dB: " (the first power point
-    for a failure while building the curve).
+    is one `OutageCurve` over the power grid, and every pair's closed form
+    is evaluated before any Monte Carlo.  Monte Carlo columns are present
+    iff the spec asks for them; they come from one `mc_outage_curves`
+    call over every pair with seed `spec.mc.seed`, whose (seed, batch)
+    substreams every row of a pair shares, so a row equals `mc_outage` at
+    its power.  Each row holds the evaluators' records as they return
+    them.  The first closed-form ArithmeticError (say, a series term past
+    double range far below the noise floor) ends the sweep before any
+    sampling: it is raised again, same type, its message prefixed with
+    the row's "{scheme} {node} at {pt} dB: " (the first power point for a
+    failure while building the curve).
     """
     grid = spec.power_grid()
     combos = sorted(
         ((scheme, node) for scheme in set(spec.schemes) for node in set(spec.nodes)),
         key=lambda pair: (pair[0].value, pair[1].value),
     )
-    simulated = mc_outage_curves(cfg, combos, grid, spec.mc) if spec.with_mc else {}
     rows: list[SweepRow] = []
     for scheme, node in combos:
-        estimates = simulated.get((scheme, node), [None] * len(grid))
         pt = grid[0]
         try:
             curve = OutageCurve(cfg, scheme, node)
-            for pt, estimate in zip(grid, estimates):
-                rows.append(SweepRow(scheme, node, pt, curve.at(pt), estimate))
+            for pt in grid:
+                rows.append(SweepRow(scheme, node, pt, curve.at(pt)))
         except ArithmeticError as exc:
             where = f"{scheme.value} {node.value} at {pt:g} dB"
             raise type(exc)(f"{where}: {exc}") from exc
+    if spec.with_mc:
+        simulated = mc_outage_curves(cfg, combos, grid, spec.mc)
+        estimates = [estimate for pair in combos for estimate in simulated[pair]]
+        rows = [replace(row, mc=estimate) for row, estimate in zip(rows, estimates)]
     return tuple(rows)
 
 

@@ -12,7 +12,7 @@ from fdnoma.channel import (
     OutageResult,
     RicianShadowedParams,
     TruncatedSeries,
-    _cdf_factor,
+    _cdf_factors,
     _log_moment_shapes,
     rician_shadowed_moment,
     sample_rician_shadowed,
@@ -188,18 +188,23 @@ def test_param_validation():
 # the terminating 2F1 factor F_n = 2F1(-n, b; 1; z)
 # ---------------------------------------------------------------------------
 
+def cdf_factor(n, b, z):
+    """Entry n of the table: F_n from a table of orders 0..n."""
+    return _cdf_factors(n, b, z)[n]
+
+
 def test_cdf_factor_zero_order_is_one():
-    assert _cdf_factor(0, 2.0, -5.0) == 1.0
+    assert cdf_factor(0, 2.0, -5.0) == 1.0
 
 
 def test_cdf_factor_two_term_series():
     # n = 1 leaves 1 - b z = 1 + 20/3
-    assert _cdf_factor(1, 2.0, -10.0 / 3.0) == pytest.approx(23.0 / 3.0, rel=1e-14)
+    assert cdf_factor(1, 2.0, -10.0 / 3.0) == pytest.approx(23.0 / 3.0, rel=1e-14)
 
 
 def test_cdf_factor_binomial_identity():
     # 2F1(-n, b; b; z) = (1 - z)^n, here at b = c = 1
-    assert _cdf_factor(9, 1.0, -1.0) == pytest.approx(2.0**9, rel=1e-12)
+    assert cdf_factor(9, 1.0, -1.0) == pytest.approx(2.0**9, rel=1e-12)
 
 
 def test_cdf_factor_matches_direct_summation():
@@ -216,30 +221,59 @@ def test_cdf_factor_matches_direct_summation():
     for n in (1, 3, 9, 12):
         for b in (0.5, 1.0, 2.0, 4.0):
             for z in (0.0, -0.3, -1.0, -10.0):
-                got = _cdf_factor(n, b, z)
+                got = cdf_factor(n, b, z)
                 want = direct(n, b, z)
                 assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-300)
+
+
+def test_cdf_factor_table_is_the_per_order_sum_bit_for_bit():
+    # every entry of one table equals the per-order sum that the table
+    # replaced, term for term in the same order of operations: == not approx
+    def reference(n, b, z):
+        total = 0.0
+        term = 1.0
+        for k in range(n + 1):
+            if k > 0:
+                term *= (k - 1 - n) * (b + k - 1) / (k * k) * z
+            total += term
+        return total
+
+    for k in (0.0, 1e-6, 0.556, 4.08, 10.0, 1e3, 2e4):
+        for m in (0.3, 0.739, 1.0, 3.0, 5.21, 10.0, 19.4, 50.0):
+            b, z = 1.0 - m, -k / m
+            for k_tr in (0, 1, 25, 40, 63):
+                want = [reference(n, b, z) for n in range(k_tr + 1)]
+                assert _cdf_factors(k_tr, b, z) == want, (k, m, k_tr)
+    # K/m = 2e6: both leave double range at the same first order
+    b, z = 1.0 - 0.05, -1e5 / 0.05
+    table = _cdf_factors(63, b, z)
+    want = [reference(n, b, z) for n in range(64)]
+    first = [math.isfinite(f) for f in table].index(False)
+    assert first == [math.isfinite(f) for f in want].index(False) == 49
+    assert table[:first] == want[:first]
 
 
 def test_cdf_factor_against_extended_precision():
     # F_n at the series' own arguments b = 1 - m and z = -K/m (as doubles)
     # against the same terminating sum at 60 digits, over Abdi's measured
-    # (K, m) sets and K/m from 0 to 2e4, on every third order 0..63.  The
-    # double sum misses by at most about 2e-14 of its largest term.  For
-    # m <= 1 no term cancels, so it is within about 4e-15 relative, and
-    # for integer m <= 10 within about 2.6e-12.  For large non-integer m
-    # F_n can be small against its terms: 5.4e-3 relative at (10, 50).
+    # (K, m) sets and K/m from 0 to 2e4, on every third entry of one table
+    # of orders 0..63 per (K, m).  The double sum misses by at most about
+    # 2e-14 of its largest term.  For m <= 1 no term cancels, so it is
+    # within about 4e-15 relative, and for integer m <= 10 within about
+    # 2.6e-12.  For large non-integer m F_n can be small against its terms:
+    # 5.4e-3 relative at (10, 50).
     misses = []
     for k in (0.0, 1e-6, 0.0071, 0.556, 4.08, 10.0, 1e3):
         for m in (0.05, 0.3, 0.739, 1.0, 3.0, 5.21, 10.0, 19.4, 50.0):
             b, z = 1.0 - m, -k / m
+            table = _cdf_factors(MAX_MOMENT_ORDER - 1, b, z)
             for n in range(0, MAX_MOMENT_ORDER, 3):
                 with mpmath.workdps(60):
                     terms = [mpmath.mpf(1)]
                     for j in range(1, n + 1):
                         terms.append(terms[-1] * (j - 1 - n) * (mpmath.mpf(b) + j - 1) / (j * j) * z)
                     want = mpmath.fsum(terms)
-                    error = abs(_cdf_factor(n, b, z) - want)
+                    error = abs(table[n] - want)
                     largest = max(abs(t) for t in terms)
                     relative = float(error / abs(want)) if want else float(error)
                 if error > 4e-14 * largest:
@@ -533,18 +567,20 @@ def test_one_convolution_pass_per_power_point(monkeypatch, num_interferers):
 
 
 @pytest.mark.parametrize("num_interferers", [0, 1, 2, 3])
-def test_one_2f1_call_per_cdf_coefficient(monkeypatch, num_interferers):
-    # work count, not timing: building a series sums the terminating 2F1
-    # once per CDF coefficient and never for an interferer's moment table,
-    # whatever its K (0 included) and m (non-integer included)
+def test_one_2f1_table_per_series_build(monkeypatch, num_interferers):
+    # work count, not timing: building a series sums the terminating 2F1 of
+    # every CDF coefficient in one table of orders 0..k_tr, and never for an
+    # interferer's moment table, whatever its K (0 included) and m
+    # (non-integer included)
     calls = []
-    cdf_factor = channel._cdf_factor
+    cdf_factors = channel._cdf_factors
 
     def counted(*args):
-        calls.append(args)
-        return cdf_factor(*args)
+        table = cdf_factors(*args)
+        calls.append(len(table))
+        return table
 
-    monkeypatch.setattr(channel, "_cdf_factor", counted)
+    monkeypatch.setattr(channel, "_cdf_factors", counted)
     k_tr = 40
     interferers = [
         RicianShadowedParams(0.3, 0.0071, 0.739),
@@ -552,7 +588,7 @@ def test_one_2f1_call_per_cdf_coefficient(monkeypatch, num_interferers):
         RicianShadowedParams(3.0, 4.08, 19.4),
     ][:num_interferers]
     TruncatedSeries(RicianShadowedParams(1.0, 0.556, 5.21), interferers, 0.1, k_tr)
-    assert len(calls) == k_tr + 1
+    assert calls == [k_tr + 1]
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from fdnoma.outage import (
     signal_model,
     sinr_threshold,
 )
+from fdnoma.scenario import load_config
 
 ALL_PAIRS = [(s, n) for s in Scheme for n in Node]
 
@@ -309,6 +310,88 @@ def test_hd_noma_gs_is_hd_oma_gs_at_the_same_rate(r_oma):
     mc_noma = mc_outage_curves(cfg_noma, [noma], grid, settings)[noma]
     mc_oma = mc_outage_curves(cfg_oma, [oma], grid, settings)[oma]
     assert mc_noma == mc_oma
+
+
+# Which pairs each config key reaches, from the model description (README
+# and the paper's system model), not from `signal_model`: one digit per
+# pair in ALL_PAIRS order (fd_noma, hd_noma, hd_oma, each at gs uav2 uav3),
+# with the value the key is moved to.
+WIRING = [
+    # each distance is one link's pathloss; the uplink UAV interferes at
+    # the downlink UAVs only under FD-NOMA
+    ("geometry", "d_1g", "3.5", "100 100 100"),
+    ("geometry", "d_g2", "2.5", "010 010 010"),
+    ("geometry", "d_g3", "3.5", "001 001 001"),
+    ("geometry", "d_12", "2.5", "010 000 000"),
+    ("geometry", "d_13", "3.5", "001 000 000"),
+    ("fading", "k_1g", "12", "100 100 100"),
+    ("fading", "m_1g", "12", "100 100 100"),
+    # residual self-interference: the FD ground station only
+    ("fading", "k_si", "12", "100 000 000"),
+    ("fading", "m_si", "12", "100 000 000"),
+    ("fading", "k_g2", "12", "010 010 010"),
+    ("fading", "m_g2", "5", "010 010 010"),
+    ("fading", "k_g3", "12", "001 001 001"),
+    ("fading", "m_g3", "12", "001 001 001"),
+    ("fading", "k_12", "12", "010 000 000"),
+    ("fading", "m_12", "5", "010 000 000"),
+    ("fading", "k_13", "12", "001 000 000"),
+    ("fading", "m_13", "12", "001 000 000"),
+    # the NOMA power split reaches both downlink UAVs, its SIC residual
+    # only the near user UAV-2; HD-OMA has no split
+    ("system", "a_gs2", "0.6", "011 011 000"),
+    ("system", "beta", "0.2", "010 010 000"),
+    # the self-interference ratio and the estimation error: FD ground station
+    ("system", "phase_noise_dbm", "-137", "100 000 000"),
+    ("system", "noise_dbm", "-128", "100 000 000"),
+    ("system", "epsilon", "0.2", "100 000 000"),
+    # every scheme's rate derives from r_oma
+    ("system", "r_oma", "0.3", "111 111 111"),
+]
+
+
+def both_oracles_at_10_db(tmp_path, section=None, key=None, value=None):
+    """Every pair's closed-form record and 2^16-sample Monte Carlo estimate
+    at 10 dB, on the reference scenario with at most one key changed."""
+    keys = {"geometry": {"d_12": "2.0", "d_13": "3.0"}, "fading": {}, "system": {}}
+    if section is not None:
+        keys[section][key] = value
+    path = tmp_path / "wiring.ini"
+    path.write_text(
+        "".join(
+            f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in entries.items())
+            for name, entries in keys.items()
+        ),
+        encoding="utf-8",
+    )
+    cfg, _ = load_config(str(path))
+    closed = {pair: OutageCurve(cfg, *pair).at(10.0) for pair in ALL_PAIRS}
+    mc = mc_outage_curves(cfg, ALL_PAIRS, [10.0], McSettings(num_samples=2**16, seed=11))
+    return closed, {pair: estimates[0] for pair, estimates in mc.items()}
+
+
+@pytest.fixture(scope="module")
+def unwired(tmp_path_factory):
+    return both_oracles_at_10_db(tmp_path_factory.mktemp("unwired"))
+
+
+@pytest.mark.parametrize("section,key,value,reached", WIRING, ids=[row[1] for row in WIRING])
+def test_each_model_key_moves_exactly_the_pairs_it_reaches(
+    tmp_path, unwired, section, key, value, reached
+):
+    # both oracles read one signal-model table, so their agreement cannot
+    # see a wrong wire in it; this matrix can.  A pair the key does not
+    # reach stays bit-identical in both oracles (a pair's draws depend only
+    # on its own sequence of link laws); every other pair moves in both
+    closed, mc = both_oracles_at_10_db(tmp_path, section, key, value)
+    base_closed, base_mc = unwired
+    for pair, flag in zip(ALL_PAIRS, reached.replace(" ", "")):
+        if flag == "1":
+            assert closed[pair] != base_closed[pair], pair
+            assert mc[pair].probability != base_mc[pair].probability, pair
+        else:
+            assert closed[pair] == base_closed[pair], pair
+            assert mc[pair] == base_mc[pair], pair
 
 
 @pytest.mark.parametrize(

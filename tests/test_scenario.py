@@ -11,6 +11,7 @@ from dataclasses import replace
 import pytest
 
 import fdnoma.cli
+import fdnoma.scenario
 from fdnoma.cli import main
 from fdnoma.montecarlo import McSettings, mc_outage, mc_outage_curves
 from fdnoma.outage import Node, OutageCurve, Scheme, db_to_linear, evaluate_outage
@@ -769,6 +770,30 @@ def test_cli_mc_sweep_stops_where_the_series_overflows(tmp_path, capsys):
     assert err.startswith("error: fd_noma gs at -300 dB: series term of order ")
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+def test_cli_mc_sweep_fails_before_any_sampling(tmp_path, capsys, monkeypatch):
+    # the closed form of every pair runs first, so a failing row ends a
+    # --mc sweep without drawing a sample
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return {}
+
+    monkeypatch.setattr(fdnoma.scenario, "mc_outage_curves", recorded)
+    sweep = (
+        "\n[sweep]\npt_start_db = -300\npt_stop_db = -300\npt_step_db = 1\n"
+        "schemes = fd_noma\nnodes = gs\n"
+    )
+    path = write(tmp_path, MINIMAL + sweep)
+    out = tmp_path / "low.csv"
+    assert main(["sweep", "--config", path, "--out", str(out), "--mc"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: fd_noma gs at -300 dB: series term of order ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+    assert calls == []
 
 
 def test_point_and_sweep_fail_alike(tmp_path, capsys):
