@@ -2,11 +2,12 @@
 
 Draws per-sample fading realisations of the links in `outage.signal_model`
 (the one description of each (scheme, node) pair, shared with the closed
-form) and counts outage events.  The outage event is rearranged from the
-power split, residual-SIC and interference terms themselves, not through
-the closed form's effective threshold transform or any series algebra, so
-an agreement between this estimator and the closed-form series is
-evidence for both.
+form) and counts outage events.  Each link is drawn at unit mean, from its
+law with `mean_power` 1, and its `mean_power` scales the draw.  The outage
+event is rearranged from the power split, residual-SIC and interference
+terms themselves, not through the closed form's effective threshold
+transform or any series algebra, so an agreement between this estimator
+and the closed-form series is evidence for both.
 
 Every link's mean power is linear in transmit power, so each sample has
 one power-free SINR margin Z (see `_margin`), and the sample is in outage
@@ -17,10 +18,10 @@ node) pair, sorts Z once and finds every threshold gamma / pt in it
 `outage.db_to_linear`, so a level outside float range raises here as it
 does in the closed form.  Each batch gets an independent substream
 derived from (seed, batch index) that draws the desired link first, then
-the interferers; each distinct sequence of link laws is drawn once per
-batch (`mc_outage_curves`), and an estimate depends only on (config,
-scheme, node, power, settings), not on the other pairs or points of the
-sweep.
+the interferers; each distinct sequence of unit-mean link laws is drawn
+once per batch (`mc_outage_curves`), and an estimate depends only on
+(config, scheme, node, power, settings), not on the other pairs or points
+of the sweep.
 Batches run on one thread per available core (`_workers`: the cores this
 process may run on, else `os.cpu_count()`), capped by the batch count.
 The calling thread is one of them, and every thread takes the next batch
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .channel import _CHUNK, sample_rician_shadowed
@@ -96,7 +97,7 @@ def _margin(model: SignalModel, draws: Sequence[np.ndarray], out: np.ndarray) ->
     into `out` and return it.
 
     With X = pt u x and Y_j = pt u_j y_j, where u and u_j are the links'
-    unit-power means (`Link.unit_mean`), the SINR is
+    means at unit transmit power (their `mean_power`), the SINR is
     X / (sum_j Y_j + 1), or alloc X / (residual (1 - alloc) X + sum_j Y_j + 1)
     under the split (alloc, residual).  Its denominator is positive, so
     multiplying SINR <= gamma through by it, and dividing by pt > 0, gives
@@ -113,10 +114,10 @@ def _margin(model: SignalModel, draws: Sequence[np.ndarray], out: np.ndarray) ->
     if model.split is not None:
         alloc, residual = model.split
         c = alloc - model.gamma * residual * (1.0 - alloc)
-    scales = [model.gamma * link.unit_mean for link in model.interferers]
+    scales = [model.gamma * link.mean_power for link in model.interferers]
     for start in range(0, len(out), _CHUNK):
         part = slice(start, start + _CHUNK)
-        z = draws[0][part] * (c * model.desired.unit_mean)
+        z = draws[0][part] * (c * model.desired.mean_power)
         for draw, scale in zip(draws[1:], scales):
             z -= draw[part] * scale
         out[part] = z
@@ -139,14 +140,14 @@ def _estimate(count: int, num_samples: int) -> McEstimate:
 
 
 def _prefix_trie(models: dict[tuple[Scheme, Node], SignalModel]) -> tuple:
-    """The trie of every pair's link laws, desired link first, then the
-    interferers.  A node is (the pairs whose laws end there, {next law:
-    the node of the longer prefix})."""
+    """The trie of every pair's unit-mean link laws, desired link first,
+    then the interferers.  A node is (the pairs whose laws end there, {next
+    law: the node of the longer prefix})."""
     root = ([], {})
     for pair, model in models.items():
         node = root
         for link in (model.desired,) + model.interferers:
-            node = node[1].setdefault(link.fading, ([], {}))
+            node = node[1].setdefault(replace(link, mean_power=1.0), ([], {}))
         node[0].append(pair)
     return root
 
@@ -248,20 +249,21 @@ def mc_outage_curves(
     floor) by simulation.
 
     Batch i of every pair draws from the substream keyed on (seed, i): the
-    desired link first, then each interferer in model order.  Each draw is
-    keyed on the sequence of fading laws drawn so far, and each distinct
-    sequence of link laws is drawn once per batch, from the generator
-    state saved after its prefix, so pairs share every draw they would
-    make alike and each sees exactly the streams it would see alone.  Each
-    pair's draws serve its whole grid through the margin of `_margin`:
-    it sorts Z once and finds every threshold in it, so neither the drawing
-    nor the per-sample arithmetic grows with the grid.  Batches run on
-    `_workers()` threads and their integer counts are summed, so the
-    estimates do not depend on the worker count.  Ties (SINR exactly
-    at threshold) count as outage, matching the event definition used by
-    the closed form; the event has probability zero under the continuous
-    fading model.  A level outside `db_to_linear`'s range raises its
-    ValueError.  The transmit power `cfg.p_t` itself is not used.
+    desired link first, then each interferer in model order, each at unit
+    mean.  Each draw is keyed on the sequence of unit-mean laws drawn so
+    far, and each distinct sequence of them is drawn once per batch, from
+    the generator state saved after its prefix, so pairs share every draw
+    they would make alike and each sees exactly the streams it would see
+    alone.  Each pair's draws serve its whole grid through the margin of
+    `_margin`: it sorts Z once and finds every threshold in it, so neither
+    the drawing nor the per-sample arithmetic grows with the grid.
+    Batches run on `_workers()` threads and their integer counts are
+    summed, so the estimates do not depend on the worker count.  Ties (SINR
+    exactly at threshold) count as outage, matching the event definition
+    used by the closed form; the event has probability zero under the
+    continuous fading model.  A level outside `db_to_linear`'s range
+    raises its ValueError.  The transmit power `cfg.p_t` itself is not
+    used.
     """
     models = {pair: signal_model(cfg, *pair) for pair in pairs}
     thresholds = {pair: _thresholds(model.gamma, pt_grid_db) for pair, model in models.items()}

@@ -42,7 +42,6 @@ __all__ = [
     "NodeGeometry",
     "FadingSet",
     "SystemConfig",
-    "Link",
     "SignalModel",
     "OutageCurve",
     "rate_for",
@@ -112,8 +111,8 @@ class NodeGeometry:
 
 @dataclass(frozen=True)
 class FadingSet:
-    """Unit-mean fading parameters per link; power scaling comes from each
-    signal-model link's `unit_mean`, never from these."""
+    """Unit-mean fading parameters per link: each law's shape (K, m) only.
+    `signal_model` gives each link its mean power at unit transmit power."""
 
     link_1g: RicianShadowedParams
     link_si: RicianShadowedParams
@@ -244,31 +243,19 @@ def db_to_linear(level_db: float) -> float:
 
 
 @dataclass(frozen=True)
-class Link:
-    """One link of a signal model: unit-mean fading and its mean power at
-    unit transmit power.
-
-    At noise-normalised transmit power pt_linear its mean power is
-    pt_linear * unit_mean; a distance-attenuated link has unit_mean
-    1 / distance_km**pathloss_exp.
-    """
-
-    fading: RicianShadowedParams
-    unit_mean: float
-
-
-@dataclass(frozen=True)
 class SignalModel:
     """The SINR model of one (scheme, node) pair.
 
     The SINR is X / (sum_j Y_j + 1) over the desired power X and the
     interference powers Y_j; at a NOMA downlink, where `split` is
     (alloc, residual), it is alloc X / (residual (1 - alloc) X + sum_j Y_j + 1).
-    Outage is SINR <= gamma = 2^rate - 1.
+    Outage is SINR <= gamma = 2^rate - 1.  Each link is its Rician shadowed
+    law at unit transmit power: at noise-normalised transmit power
+    pt_linear its mean power is pt_linear * mean_power.
     """
 
-    desired: Link
-    interferers: tuple[Link, ...]
+    desired: RicianShadowedParams
+    interferers: tuple[RicianShadowedParams, ...]
     gamma: float
     split: tuple[float, float] | None
 
@@ -276,17 +263,18 @@ class SignalModel:
 def signal_model(cfg: SystemConfig, scheme: Scheme, node: Node) -> SignalModel:
     """The desired link, the interferers, the threshold and the power split
     of one (scheme, node) pair; both the closed form and Monte Carlo read it.
-    A link's `unit_mean` is 1 / distance**pathloss_exp, the phase-noise to
-    noise power ratio for the residual self-interference, or epsilon for
-    the estimation error.  An interferer whose `unit_mean` is 0 (epsilon
-    = 0) adds nothing and is left out, so every `unit_mean` is positive.
+    Each link takes its shape (K, m) from `cfg.fading` and, as
+    `mean_power`, its mean at unit transmit power: 1 / distance**pathloss_exp,
+    the phase-noise to noise power ratio for the residual self-interference,
+    or epsilon for the estimation error.  At epsilon = 0 the error adds
+    nothing and is left out, so every `mean_power` is positive.
 
     * Ground station: the uplink signal; under FD-NOMA it competes against
       the residual self-interference, a Rician shadowed term scaled by the
       phase-noise/noise power ratio, plus a channel-estimation error term.
       The error has exponential power, which is Rician shadowed fading
-      with K = 0: unit mean, and m = 1 only because a value is required,
-      since m has no effect at K = 0.
+      with K = 0, and m = 1 only because a value is required, since m has
+      no effect at K = 0.
     * Downlink UAV under NOMA: the power split applies, with the leftover
       beta after SIC at the near user UAV-2 and the full interfering share
       at the interference-ignorant far user UAV-3; under FD-NOMA the uplink
@@ -298,19 +286,20 @@ def signal_model(cfg: SystemConfig, scheme: Scheme, node: Node) -> SignalModel:
     geo, fading = cfg.geometry, cfg.fading
     eta = geo.pathloss_exp
     if node is Node.GS:
-        interferers: tuple[Link, ...] = ()
+        interferers: tuple[RicianShadowedParams, ...] = ()
         if scheme is Scheme.FD_NOMA:
-            si = Link(fading.link_si, cfg.si_power_ratio)
-            error = Link(RicianShadowedParams(1.0, 0.0, 1.0), cfg.epsilon)
-            interferers = tuple(link for link in (si, error) if link.unit_mean > 0.0)
-        return SignalModel(Link(fading.link_1g, 1.0 / geo.d_1g**eta), interferers, gamma, None)
+            interferers = (replace(fading.link_si, mean_power=cfg.si_power_ratio),)
+            if cfg.epsilon > 0.0:
+                interferers += (RicianShadowedParams(cfg.epsilon, 0.0, 1.0),)
+        desired = replace(fading.link_1g, mean_power=1.0 / geo.d_1g**eta)
+        return SignalModel(desired, interferers, gamma, None)
     if node is Node.UAV2:
-        desired = Link(fading.link_g2, 1.0 / geo.d_g2**eta)
-        uplink = Link(fading.link_12, 1.0 / geo.d_12**eta)
+        desired = replace(fading.link_g2, mean_power=1.0 / geo.d_g2**eta)
+        uplink = replace(fading.link_12, mean_power=1.0 / geo.d_12**eta)
         split = (cfg.a_gs2, cfg.beta)
     else:
-        desired = Link(fading.link_g3, 1.0 / geo.d_g3**eta)
-        uplink = Link(fading.link_13, 1.0 / geo.d_13**eta)
+        desired = replace(fading.link_g3, mean_power=1.0 / geo.d_g3**eta)
+        uplink = replace(fading.link_13, mean_power=1.0 / geo.d_13**eta)
         split = (1.0 - cfg.a_gs2, 1.0)
     if scheme is Scheme.HD_OMA:
         return SignalModel(desired, (), gamma, None)
@@ -322,9 +311,9 @@ class OutageCurve:
     """Closed-form outage of one (scheme, node) pair over transmit power.
 
     Everything that does not depend on the transmit power (the threshold
-    and the `TruncatedSeries` tables, built from each link's `unit_mean`,
-    which `signal_model` keeps positive) is computed once, here; `at`
-    then evaluates one power point.
+    and the `TruncatedSeries` tables, built from the signal model's links
+    as they are) is computed once, here; `at` then evaluates one power
+    point.
     `evaluate_outage` is the one-point case, so a point evaluation equals
     the matching sweep row bit for bit.  The transmit power `cfg.p_t`
     itself is not used.
@@ -335,11 +324,7 @@ class OutageCurve:
         threshold = model.gamma
         if model.split is not None:
             threshold = noma_effective_threshold(model.gamma, *model.split)
-        desired, *interferers = [
-            replace(link.fading, mean_power=link.unit_mean)
-            for link in (model.desired,) + model.interferers
-        ]
-        self._series = TruncatedSeries(desired, interferers, threshold, cfg.k_tr)
+        self._series = TruncatedSeries(model.desired, model.interferers, threshold, cfg.k_tr)
 
     def at(self, pt_db: float) -> OutageResult:
         """Outage probability at transmit power pt_db (dB over the noise floor).

@@ -2,6 +2,7 @@
 event-form equivalence check and the direct-SINR outage count."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -82,7 +83,8 @@ def threshold_equivalence_check(
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
     pt_linear = db_to_linear(cfg.p_t)
     x, y = (
-        sample_rician_shadowed(link.fading, rng, num_samples) * (pt_linear * link.unit_mean)
+        sample_rician_shadowed(replace(link, mean_power=1.0), rng, num_samples)
+        * (pt_linear * link.mean_power)
         for link in (model.desired, uplink)
     )
     direct = alloc * x / (residual * (1.0 - alloc) * x + y + 1.0) <= model.gamma
@@ -99,7 +101,7 @@ def direct_outage_count(model: SignalModel, unit, pt_linear: float) -> int:
     model order.
     """
     links = (model.desired,) + model.interferers
-    x, *ys = [draw * (pt_linear * link.unit_mean) for draw, link in zip(unit, links)]
+    x, *ys = [draw * (pt_linear * link.mean_power) for draw, link in zip(unit, links)]
     y = sum(ys, 0.0)
     if model.split is None:
         sinr = x / (y + 1.0)

@@ -161,7 +161,7 @@ def test_margin_counts_equal_direct_sinr_counts(scheme, node, r_oma):
     rng = _batch_rng(12, 0)
     links = (model.desired,) + model.interferers
     size = (1 << 16) + 1000
-    unit = [sample_rician_shadowed(link.fading, rng, size) for link in links]
+    unit = [sample_rician_shadowed(replace(link, mean_power=1.0), rng, size) for link in links]
     want = [direct_outage_count(model, unit, 10.0 ** (pt / 10.0)) for pt in grid]
     fresh = _margin(model, unit, np.empty(size))
     last = unit[-1]
@@ -256,6 +256,74 @@ def test_each_distinct_link_law_sequence_is_drawn_once_per_batch(monkeypatch, cf
         assert len(sizes) == 2 * (1 + len(signal_model(cfg, *pair).interferers)), pair
         # sharing draws leaves every pair the stream it sees alone
         assert together[pair] == alone, pair
+
+
+# Common random numbers: a pair's draws depend only on its sequence of
+# unit-mean link laws and the seed, so moving a mean power, the threshold or
+# the power split acts on the same samples, and each change below moves the
+# margin of every sample one way.  The estimates are therefore ordered
+# exactly, not only in distribution.
+ORDER_GRID = [0.0, 20.0, 40.0, 60.0]
+ORDER_SETTINGS = McSettings(num_samples=1 << 16, seed=29)
+
+
+def outage_table(cfg):
+    """Every pair's Monte Carlo outage at 0/20/40/60 dB, one row per pair."""
+    curves = mc_outage_curves(cfg, ALL_PAIRS, ORDER_GRID, ORDER_SETTINGS)
+    return {pair: [est.probability for est in curves[pair]] for pair in ALL_PAIRS}
+
+
+def moved_geometry(**changes):
+    cfg = suburban()
+    return replace(cfg, geometry=replace(cfg.geometry, **changes))
+
+
+@pytest.fixture(scope="module")
+def reference_table():
+    return outage_table(suburban())
+
+
+# (key, the better config, the worse one); None is the reference scenario
+WORSE = [
+    ("d_1g", None, moved_geometry(d_1g=3.5)),
+    ("d_g2", None, moved_geometry(d_g2=2.5)),
+    ("d_g3", None, moved_geometry(d_g3=3.5)),
+    ("phase_noise_dbm", None, replace(suburban(), phase_noise_power=-137.0)),
+    ("epsilon", None, suburban(epsilon=0.2)),
+    ("epsilon_from_0", suburban(epsilon=0.0), None),
+    ("beta", None, suburban(beta=0.2)),
+    ("r_oma", None, suburban(r_oma=0.3)),
+    ("d_12", suburban(d_12=2.5), None),
+    ("d_13", suburban(d_13=3.5), None),
+]
+
+
+@pytest.mark.parametrize("key,better,worse", WORSE, ids=[row[0] for row in WORSE])
+def test_monte_carlo_outage_never_falls_when_a_key_makes_links_worse(
+    reference_table, key, better, worse
+):
+    low = reference_table if better is None else outage_table(better)
+    high = reference_table if worse is None else outage_table(worse)
+    moved = 0
+    for pair in ALL_PAIRS:
+        for pt, a, b in zip(ORDER_GRID, low[pair], high[pair]):
+            assert a <= b, (key, pair, pt, a, b)
+            moved += a != b
+    assert moved, key
+
+
+def test_monte_carlo_outage_follows_power_and_power_split(reference_table):
+    # more transmit power never raises outage; a larger share a_gs2 for
+    # UAV-2 never hurts UAV-2 and never helps UAV-3
+    for pair, row in reference_table.items():
+        assert all(b <= a for a, b in zip(row, row[1:])), (pair, row)
+    shifted = outage_table(suburban(a_gs2=0.6))
+    for scheme in Scheme:
+        uav2 = zip(shifted[scheme, Node.UAV2], reference_table[scheme, Node.UAV2])
+        uav3 = zip(reference_table[scheme, Node.UAV3], shifted[scheme, Node.UAV3])
+        for low, high in [*uav2, *uav3]:
+            assert low <= high, (scheme, low, high)
+    assert shifted != reference_table
 
 
 def fixed_workers(monkeypatch, workers):

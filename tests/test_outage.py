@@ -17,7 +17,6 @@ from fdnoma.channel import (
 from fdnoma.montecarlo import McSettings, mc_outage, mc_outage_curves
 from fdnoma.outage import (
     FadingSet,
-    Link,
     Node,
     NodeGeometry,
     OutageCurve,
@@ -186,12 +185,26 @@ def test_signal_model_table():
         (Scheme.HD_OMA, Node.UAV2): (0, None),
         (Scheme.HD_OMA, Node.UAV3): (0, None),
     }
-    # mean power pt_linear * unit_mean, unit_mean = 1 / distance**pathloss_exp
-    assert 90.0 * signal_model(cfg, Scheme.HD_OMA, Node.GS).desired.unit_mean == 10.0
+    # mean power pt_linear * mean_power, mean_power = 1 / distance**pathloss_exp
+    assert 90.0 * signal_model(cfg, Scheme.HD_OMA, Node.GS).desired.mean_power == 10.0
+    # every link's mean at unit transmit power: each distance link's
+    # 1 / d**pathloss_exp, and the phase-noise/noise ratio on the SI link
+    geo, eta = cfg.geometry, cfg.geometry.pathloss_exp
+    fd = {node: signal_model(cfg, Scheme.FD_NOMA, node) for node in Node}
+    means = {
+        "1g": fd[Node.GS].desired.mean_power,
+        "g2": fd[Node.UAV2].desired.mean_power,
+        "g3": fd[Node.UAV3].desired.mean_power,
+        "12": fd[Node.UAV2].interferers[0].mean_power,
+        "13": fd[Node.UAV3].interferers[0].mean_power,
+    }
+    for name, mean in means.items():
+        assert mean == 1.0 / getattr(geo, f"d_{name}") ** eta, name
+    si, error = fd[Node.GS].interferers
+    assert si == replace(cfg.fading.link_si, mean_power=cfg.si_power_ratio)
+    # the estimation error: exponential power, a K = 0 link of mean epsilon
+    assert error == RicianShadowedParams(cfg.epsilon, 0.0, 1.0)
     assert len(signal_model(suburban(epsilon=0.0), Scheme.FD_NOMA, Node.GS).interferers) == 1
-    # the estimation error: exponential power, a unit-mean K = 0 link scaled by epsilon
-    error = signal_model(cfg, Scheme.FD_NOMA, Node.GS).interferers[1]
-    assert error == Link(RicianShadowedParams(1.0, 0.0, 1.0), cfg.epsilon)
 
 
 def test_zero_rate_never_outages():
@@ -310,6 +323,27 @@ def test_hd_noma_gs_is_hd_oma_gs_at_the_same_rate(r_oma):
     mc_noma = mc_outage_curves(cfg_noma, [noma], grid, settings)[noma]
     mc_oma = mc_outage_curves(cfg_oma, [oma], grid, settings)[oma]
     assert mc_noma == mc_oma
+
+
+@pytest.mark.parametrize("k_tr", [25, 40])
+def test_fd_noma_meets_its_interference_free_limits(k_tr):
+    # with its interference switched off, FD-NOMA at rate r_oma / 3 is the
+    # half-duplex scheme at the base rate that gives it that rate: HD-OMA
+    # at the ground station (phase noise at -300 dBm, epsilon = 0), HD-NOMA
+    # at a downlink UAV whose uplink interferer is 1e9 km away
+    r_oma = 0.2
+    quiet_gs = replace(suburban(epsilon=0.0, k_tr=k_tr), phase_noise_power=-300.0)
+    limits = [
+        (quiet_gs, Node.GS, Scheme.HD_OMA, r_oma / 3),
+        (suburban(k_tr=k_tr, d_12=1e9), Node.UAV2, Scheme.HD_NOMA, 2 * r_oma / 3),
+        (suburban(k_tr=k_tr, d_13=1e9), Node.UAV3, Scheme.HD_NOMA, 2 * r_oma / 3),
+    ]
+    for cfg, node, scheme, base_rate in limits:
+        fd = OutageCurve(cfg, Scheme.FD_NOMA, node)
+        hd = OutageCurve(replace(cfg, r_oma=base_rate), scheme, node)
+        for pt in range(0, 61, 10):
+            got, want = fd.at(pt).probability, hd.at(pt).probability
+            assert abs(got - want) <= 1e-12, (node, pt, got, want)
 
 
 # Which pairs each config key reaches, from the model description (README
@@ -453,7 +487,7 @@ def test_hd_oma_gs_meets_mixture_truth_at_large_series_arguments(k, m, r_oma, pt
     cfg = suburban(pt_db=pt_db, r_oma=r_oma, k_tr=k_tr)
     cfg = replace(cfg, fading=replace(cfg.fading, link_1g=unit_link(k, m)))
     model = signal_model(cfg, Scheme.HD_OMA, Node.GS)
-    truth = mixture_cdf(k, m, model.gamma / (db_to_linear(pt_db) * model.desired.unit_mean))
+    truth = mixture_cdf(k, m, model.gamma / (db_to_linear(pt_db) * model.desired.mean_power))
     result = evaluate_outage(cfg, Scheme.HD_OMA, Node.GS)
     assert result.converged
     assert abs(result.probability - truth) <= 1e-9, (result.probability, truth)
