@@ -46,6 +46,16 @@ _GROWTH_BURN_IN = 10
 # exp() overflows just above this; used to detect hopeless series terms.
 _LOG_HUGE = 700.0
 
+# The per-point noise kernel re-bases its terms when one rises this far
+# above the current shift (natural log), and serves k_tr up to the largest
+# order with _SPAN + log((k_tr+1)!) + log(k_tr+2) < 709 (see
+# `_noise_convolve`).
+_SPAN = 300.0
+_K_TR_CAP = 107
+
+# 1/j! for j = 0.._K_TR_CAP+1, each correctly rounded.
+_INV_FACT = [1 / math.factorial(j) for j in range(_K_TR_CAP + 2)]
+
 # Samples per slice of a sampler's Gaussian draws: their buffer stays this
 # small whatever the sample count.
 _CHUNK = 1 << 14
@@ -161,11 +171,42 @@ def _log_sum_exp(logs: list[float]) -> float:
 
 def _log_convolve(a: list[float], b: list[float]) -> list[float]:
     """Entries 0..len(a)-1 of the convolution of exp(a) and exp(b), as logs:
-    one pass of log-sum-exp per entry."""
+    one pass of log-sum-exp per entry.  It serves the once-per-curve
+    convolution of the interferers' moment tables: both of its sides are
+    unbounded, so every entry needs its own peak, which the per-point
+    `_noise_convolve` (one side bounded) does without."""
     return [
         _log_sum_exp(list(map(operator.add, a[: k + 1], b[k::-1])))
         for k in range(len(a))
     ]
+
+
+def _noise_convolve(log_table: list[float], log_power: float) -> list[float]:
+    """Entries k = 0..len(log_table)-1 of the convolution of 1/l! with
+    exp(v_l), v_l = l log_power + log_table[l], as logs: one linear-domain
+    pass.
+
+    Each v_l is exponentiated once, as beta_l = exp(v_l - shift).  The shift
+    starts at v_0 and moves to v_k only when v_k rises more than `_SPAN`
+    above it, re-exponentiating the terms so far; entry k is
+    shift + log(sum_j beta_j / (k-j)!), with 1/j! read from `_INV_FACT`.
+    This is exact to rounding because 1/j! is bounded, between
+    1/(k_tr+1)! and 1: the term that set the shift keeps every entry's
+    dominant term at or above 1/(k_tr+1)!, a normal float, so a term that
+    underflows is negligible against it, and no sum exceeds
+    (k_tr+2) e^_SPAN.  `_K_TR_CAP` keeps both inside double range.
+    """
+    offset = [order * log_power + s for order, s in enumerate(log_table)]
+    shift = offset[0]
+    beta: list[float] = []
+    out = []
+    for k, v in enumerate(offset):
+        if v - shift > _SPAN:
+            shift = v
+            beta = [math.exp(x - shift) for x in offset[:k]]
+        beta.append(math.exp(v - shift))
+        out.append(shift + math.log(math.fsum(map(operator.mul, _INV_FACT[k::-1], beta))))
+    return out
 
 
 class TruncatedSeries:
@@ -191,11 +232,13 @@ class TruncatedSeries:
 
     The power enters only as l log p: on entry l of that table, since
     E{(p S)^l} = p^l E{S^l}, and as -(n+1) log p in order n.  `at` then
-    costs one pass, O(k_tr^2), for any J >= 1 and O(k_tr) with none:
+    costs one linear-domain pass of `_noise_convolve`, O(k_tr^2) products
+    but only O(k_tr) exponentials, for any J >= 1 and O(k_tr) with none:
     E{(1 + p S)^k}/k! is entry k of the convolution of 1/l! (the unit
-    noise term) with the offset table.  With no interferers the
-    expectation is 1 and the series is the plain truncated CDF
-    P(p X0 <= gamma).
+    noise term, held once as the float table `_INV_FACT`) with the offset
+    table.  With no interferers the expectation is 1 and the series is the
+    plain truncated CDF P(p X0 <= gamma).  k_tr is capped at `_K_TR_CAP`
+    (107), the range of that pass; a larger order raises ValueError.
     """
 
     def __init__(
@@ -209,6 +252,8 @@ class TruncatedSeries:
             raise ValueError(f"threshold must be non-negative, got {gamma}")
         if k_tr < 0:
             raise ValueError(f"truncation order must be non-negative, got {k_tr}")
+        if k_tr > _K_TR_CAP:
+            raise ValueError(f"truncation order must be at most {_K_TR_CAP}, got {k_tr}")
         self.gamma = gamma
         if gamma == 0.0 or math.isinf(gamma):
             return
@@ -240,9 +285,7 @@ class TruncatedSeries:
         log_fact = self._log_fact
         if self._log_sum_moments is None:
             return [0.0] * (len(log_fact) - 1)
-        log_power = math.log(power)
-        scaled = [order * log_power + s for order, s in enumerate(self._log_sum_moments)]
-        acc = _log_convolve([-lf for lf in log_fact], scaled)
+        acc = _noise_convolve(self._log_sum_moments, math.log(power))
         return [a + lf for a, lf in zip(acc[1:], log_fact[1:])]
 
     def at(self, power: float) -> OutageResult:

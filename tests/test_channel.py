@@ -1,10 +1,13 @@
 """Unit tests for moments, the CDF expansion and the samplers."""
 
 import math
+import sys
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from fdnoma import channel
@@ -546,24 +549,78 @@ def test_moment_convolution_matches_composition_sum(interferers, k_tr):
 @pytest.mark.parametrize("num_interferers", [1, 2, 3])
 def test_one_convolution_pass_per_power_point(monkeypatch, num_interferers):
     # work count, not timing: the unit-power interference table costs J - 1
-    # log-sum-exp passes once, and each power point one more, whatever J
-    calls = []
-    log_sum_exp = channel._log_sum_exp
+    # log-sum-exp passes once, and each power point one pass of the noise
+    # kernel with no log-sum-exp, whatever J
+    sums, kernels = [], []
+    log_sum_exp, noise_convolve = channel._log_sum_exp, channel._noise_convolve
 
-    def counted(logs):
-        calls.append(len(logs))
+    def counted_sum(logs):
+        sums.append(len(logs))
         return log_sum_exp(logs)
 
-    monkeypatch.setattr(channel, "_log_sum_exp", counted)
+    def counted_kernel(log_table, log_power):
+        kernels.append(len(log_table))
+        return noise_convolve(log_table, log_power)
+
+    monkeypatch.setattr(channel, "_log_sum_exp", counted_sum)
+    monkeypatch.setattr(channel, "_noise_convolve", counted_kernel)
     k_tr = 12
-    one_pass = k_tr + 2  # one call per order 0..k_tr+1
+    one_pass = k_tr + 2  # one entry per order 0..k_tr+1
     interferers = INTERFERER_SETS[-1][:num_interferers]
     series = TruncatedSeries(RicianShadowedParams(1.0, 10.0, 10.0), interferers, 0.1, k_tr)
-    assert len(calls) == (num_interferers - 1) * one_pass
-    calls.clear()
+    assert len(sums) == (num_interferers - 1) * one_pass
+    assert kernels == []
+    sums.clear()
     for power in (1e-3, 1.0, 1e3):
         series.at(power)
-    assert len(calls) == 3 * one_pass
+    assert sums == []
+    assert kernels == [one_pass] * 3
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    log_power=st.floats(-744.0, 709.0),
+    log_means=st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=3),
+    k_factor=st.floats(0.0, 30.0),
+    m=st.floats(0.1, 30.0),
+    k_tr=st.integers(0, 70),
+)
+def test_noise_kernel_meets_log_sum_exp_convolution(log_power, log_means, k_factor, m, k_tr):
+    # the per-point linear-domain pass against the log-sum-exp convolution
+    # of 1/l! with the offset table, from a subnormal power to one near the
+    # top of double range and interferer means from 1e-300 to 1e300
+    interferers = [RicianShadowedParams(10.0**x, k_factor, m) for x in log_means]
+    series = TruncatedSeries(RicianShadowedParams(1.0, 10.0, 10.0), interferers, 0.1, k_tr)
+    table = series._log_sum_moments
+    got = channel._noise_convolve(table, log_power)
+    want = channel._log_convolve(
+        [-math.lgamma(order + 1) for order in range(len(table))],
+        [order * log_power + s for order, s in enumerate(table)],
+    )
+    assert len(got) == k_tr + 2
+    for k, (a, b) in enumerate(zip(got, want)):
+        assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), (k, a, b)
+
+
+def test_truncation_order_cap():
+    # the noise kernel's range argument, span + log((k_tr+1)!) + log(k_tr+2)
+    # < 709, holds up to the cap and fails one order past it; configs stop
+    # at 63, well inside
+    cap = channel._K_TR_CAP
+    assert channel._SPAN + math.lgamma(cap + 2) + math.log(cap + 2) < 709.0
+    assert channel._SPAN + math.lgamma(cap + 3) + math.log(cap + 3) >= 709.0
+    assert channel._INV_FACT == [1 / math.factorial(j) for j in range(cap + 2)]
+    assert channel._INV_FACT[-1] > sys.float_info.min
+    assert cap >= MAX_MOMENT_ORDER - 1
+    desired = RicianShadowedParams(1.0, 10.0, 10.0)
+    interferer = RicianShadowedParams(0.3, 10.0, 3.0)
+    deep = TruncatedSeries(desired, [interferer], 0.1, cap).at(1.0)
+    assert deep.converged
+    assert deep.probability == pytest.approx(
+        TruncatedSeries(desired, [interferer], 0.1, 63).at(1.0).probability, abs=1e-12
+    )
+    with pytest.raises(ValueError, match=f"truncation order must be at most {cap}, got {cap + 1}"):
+        TruncatedSeries(desired, [interferer], 0.1, cap + 1)
 
 
 @pytest.mark.parametrize("num_interferers", [0, 1, 2, 3])

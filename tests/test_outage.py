@@ -346,6 +346,73 @@ def test_fd_noma_meets_its_interference_free_limits(k_tr):
             assert abs(got - want) <= 1e-12, (node, pt, got, want)
 
 
+# The closed form obeys the relations that Monte Carlo obeys sample by
+# sample (tests/test_montecarlo.py), up to rounding, where the series has
+# converged: at k_tr 40 on the reference scenario it has, at every point
+# below.
+MONOTONE_K_TR = 40
+MONOTONE_SLACK = 1e-12
+
+
+def test_closed_form_outage_never_rises_with_power():
+    grid = [0.5 * i for i in range(141)]  # 0 to 70 dB
+    for pair in ALL_PAIRS:
+        curve = OutageCurve(suburban(k_tr=MONOTONE_K_TR), *pair)
+        results = [curve.at(pt) for pt in grid]
+        assert all(r.converged for r in results), pair
+        values = [r.probability for r in results]
+        for pt, a, b in zip(grid[1:], values, values[1:]):
+            assert b <= a + MONOTONE_SLACK, (pair, pt, a, b)
+
+
+def closed_form_table(cfg):
+    """Every pair's closed-form outage at 0/10/20/30/40/60 dB."""
+    grid = [0.0, 10.0, 20.0, 30.0, 40.0, 60.0]
+    curves = {pair: OutageCurve(cfg, *pair) for pair in ALL_PAIRS}
+    return {pair: [curve.at(pt).probability for pt in grid] for pair, curve in curves.items()}
+
+
+def monotone_case(geometry=None, **changes):
+    cfg = suburban(k_tr=MONOTONE_K_TR, **changes)
+    return cfg if geometry is None else replace(cfg, geometry=replace(cfg.geometry, **geometry))
+
+
+# (key, the better config, the worse one); None is the reference scenario
+CLOSED_FORM_WORSE = [
+    ("d_1g", None, monotone_case(geometry={"d_1g": 3.5})),
+    ("d_g2", None, monotone_case(geometry={"d_g2": 2.5})),
+    ("d_g3", None, monotone_case(geometry={"d_g3": 3.5})),
+    ("phase_noise_dbm", None, replace(monotone_case(), phase_noise_power=-137.0)),
+    ("epsilon", None, monotone_case(epsilon=0.2)),
+    ("epsilon_from_0", monotone_case(epsilon=0.0), None),
+    ("beta", None, monotone_case(beta=0.2)),
+    ("r_oma", None, monotone_case(r_oma=0.3)),
+    ("d_12", monotone_case(d_12=2.5), None),
+    ("d_13", monotone_case(d_13=3.5), None),
+]
+
+
+@pytest.fixture(scope="module")
+def closed_form_reference():
+    return closed_form_table(monotone_case())
+
+
+@pytest.mark.parametrize(
+    "key,better,worse", CLOSED_FORM_WORSE, ids=[row[0] for row in CLOSED_FORM_WORSE]
+)
+def test_closed_form_outage_never_falls_when_a_key_makes_links_worse(
+    closed_form_reference, key, better, worse
+):
+    low = closed_form_reference if better is None else closed_form_table(better)
+    high = closed_form_reference if worse is None else closed_form_table(worse)
+    moved = 0
+    for pair in ALL_PAIRS:
+        for a, b in zip(low[pair], high[pair]):
+            assert a <= b + MONOTONE_SLACK, (key, pair, a, b)
+            moved += a != b
+    assert moved, key
+
+
 # Which pairs each config key reaches, from the model description (README
 # and the paper's system model), not from `signal_model`: one digit per
 # pair in ALL_PAIRS order (fd_noma, hd_noma, hd_oma, each at gs uav2 uav3),
