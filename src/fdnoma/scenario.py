@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import re
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -100,6 +101,15 @@ _KIND_NAMES = {float: "a number", int: "an integer", bool: "a boolean"}
 
 # A retired key that older configs still set; only its old default loads.
 _RETIRED = ("sweep", "antithetic")
+
+# Fields of SystemConfig and McSettings set by a config key of another
+# name: a ConfigError from their checks names that key too.
+_FIELD_KEYS = {
+    "p_t": "system.pt_db",
+    "phase_noise_power": "system.phase_noise_dbm",
+    "noise_power": "system.noise_dbm",
+    "num_samples": "sweep.mc_samples",
+}
 
 
 class ConfigError(ValueError):
@@ -234,7 +244,11 @@ def load_config(path: str) -> tuple[SystemConfig, SweepSpec]:
         geometry = NodeGeometry(**{key: read("geometry", key) for key in texts["geometry"]})
 
         def link(tag: str) -> RicianShadowedParams:
-            return RicianShadowedParams(1.0, read("fading", f"k_{tag}"), read("fading", f"m_{tag}"))
+            k, m = read("fading", f"k_{tag}"), read("fading", f"m_{tag}")
+            try:
+                return RicianShadowedParams(1.0, k, m)
+            except ValueError as exc:
+                raise ConfigError(f"fading.k_{tag} = {k}, fading.m_{tag} = {m}: {exc}") from exc
 
         tags = [key[2:] for key in texts["fading"] if key.startswith("k_")]
         fading = FadingSet(**{f"link_{tag}": link(tag) for tag in tags})
@@ -265,11 +279,14 @@ def load_config(path: str) -> tuple[SystemConfig, SweepSpec]:
     except ConfigError:
         raise
     except ValueError as exc:
-        raise ConfigError(f"invalid config: {exc}") from exc
+        keys = [key for field, key in _FIELD_KEYS.items() if re.search(rf"\b{field}\b", str(exc))]
+        named = f" ({', '.join(keys)})" if keys else ""
+        raise ConfigError(f"invalid config: {exc}{named}") from exc
     return cfg, spec
 
 
 def _parse_enum_list(raw: str, enum_cls, what: str):
+    allowed = ", ".join(e.value for e in enum_cls)
     values = []
     for token in raw.split(","):
         token = token.strip().lower()
@@ -278,8 +295,9 @@ def _parse_enum_list(raw: str, enum_cls, what: str):
         try:
             values.append(enum_cls(token))
         except ValueError as exc:
-            allowed = ", ".join(e.value for e in enum_cls)
             raise ConfigError(f"{what}: unknown value {token!r} (allowed: {allowed})") from exc
+    if not values:
+        raise ConfigError(f"{what}: no value given (allowed: {allowed})")
     return tuple(dict.fromkeys(values))  # dedupe, keep order
 
 
