@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import configparser
 import math
-import re
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -101,15 +100,6 @@ _KIND_NAMES = {float: "a number", int: "an integer", bool: "a boolean"}
 
 # A retired key that older configs still set; only its old default loads.
 _RETIRED = ("sweep", "antithetic")
-
-# Fields of SystemConfig and McSettings set by a config key of another
-# name: a ConfigError from their checks names that key too.
-_FIELD_KEYS = {
-    "p_t": "system.pt_db",
-    "phase_noise_power": "system.phase_noise_dbm",
-    "noise_power": "system.noise_dbm",
-    "num_samples": "sweep.mc_samples",
-}
 
 
 class ConfigError(ValueError):
@@ -252,18 +242,35 @@ def load_config(path: str) -> tuple[SystemConfig, SweepSpec]:
 
         tags = [key[2:] for key in texts["fading"] if key.startswith("k_")]
         fading = FadingSet(**{f"link_{tag}": link(tag) for tag in tags})
+        pt_db = read("system", "pt_db")
+        phase_noise, noise = read("system", "phase_noise_dbm"), read("system", "noise_dbm")
+        # SystemConfig's range rule for its dB levels, checked here to name the keys
+        for keys, fields, level in (
+            ("system.pt_db", "p_t", pt_db),
+            ("system.phase_noise_dbm - system.noise_dbm", "phase_noise_power - noise_power",
+             phase_noise - noise),
+        ):
+            try:
+                db_to_linear(level)
+            except ValueError as exc:
+                raise ConfigError(f"{keys} ({fields}): {exc}") from exc
         cfg = SystemConfig(
-            p_t=read("system", "pt_db"),
+            p_t=pt_db,
             r_oma=read("system", "r_oma"),
             a_gs2=read("system", "a_gs2"),
             beta=read("system", "beta"),
-            phase_noise_power=read("system", "phase_noise_dbm"),
-            noise_power=read("system", "noise_dbm"),
+            phase_noise_power=phase_noise,
+            noise_power=noise,
             epsilon=read("system", "epsilon"),
             k_tr=read("system", "k_tr", int),
             geometry=geometry,
             fading=fading,
         )
+        samples, seed = read("sweep", "mc_samples", int), read("sweep", "mc_seed", int)
+        try:
+            mc = McSettings(num_samples=samples, seed=seed)
+        except ValueError as exc:
+            raise ConfigError(f"sweep.mc_samples: {exc}") from exc
         spec = SweepSpec(
             pt_start_db=read("sweep", "pt_start_db"),
             pt_stop_db=read("sweep", "pt_stop_db"),
@@ -271,17 +278,12 @@ def load_config(path: str) -> tuple[SystemConfig, SweepSpec]:
             schemes=_parse_enum_list(texts["sweep"]["schemes"], Scheme, "sweep.schemes"),
             nodes=_parse_enum_list(texts["sweep"]["nodes"], Node, "sweep.nodes"),
             with_mc=read("sweep", "with_mc", bool),
-            mc=McSettings(
-                num_samples=read("sweep", "mc_samples", int),
-                seed=read("sweep", "mc_seed", int),
-            ),
+            mc=mc,
         )
     except ConfigError:
         raise
     except ValueError as exc:
-        keys = [key for field, key in _FIELD_KEYS.items() if re.search(rf"\b{field}\b", str(exc))]
-        named = f" ({', '.join(keys)})" if keys else ""
-        raise ConfigError(f"invalid config: {exc}{named}") from exc
+        raise ConfigError(f"invalid config: {exc}") from exc
     return cfg, spec
 
 
